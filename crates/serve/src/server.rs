@@ -44,7 +44,7 @@ use membound_core::runner::{Engine, ExperimentMatrix, RunOptions};
 use membound_core::telemetry::RunHeader;
 use membound_parallel::{Failpoint, JobBudget, ShutdownFlag};
 use std::collections::BTreeMap;
-use std::io::{BufRead as _, BufReader, Write as _};
+use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,6 +58,12 @@ const ACCEPT_POLL: Duration = Duration::from_millis(10);
 /// Read timeout on connection sockets, so idle connection threads
 /// notice a drain promptly instead of blocking in `read` forever.
 const CONN_POLL: Duration = Duration::from_millis(100);
+
+/// Longest request line the daemon reads, newline included. Requests
+/// are a few hundred bytes; a longer line is answered with `Error` and
+/// dropped through its newline, so no client can make a connection
+/// thread buffer without bound.
+const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Backoff hint per queued entry when rejecting on a full queue: a
 /// deliberately coarse "come back later", not a latency model.
@@ -328,27 +334,24 @@ fn serve_connection(shared: &Shared, stream: UnixStream) -> std::io::Result<()> 
     stream.set_read_timeout(Some(CONN_POLL))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match read_line_polling(&mut reader, &mut line, shared) {
-            Ok(0) => return Ok(()), // EOF or drained while idle
-            Ok(_) => {}
-            Err(e) => return Err(e),
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let request: Request = match serde_json::from_str(trimmed) {
+        let parsed = match read_line_polling(&mut reader, &mut line, shared)? {
+            LineRead::End => return Ok(()),
+            LineRead::TooLong => Err(format!(
+                "bad request: line longer than {MAX_REQUEST_LINE} bytes"
+            )),
+            LineRead::Line => match std::str::from_utf8(&line).map(str::trim) {
+                Ok("") => continue,
+                Ok(text) => serde_json::from_str(text).map_err(|e| format!("bad request: {e}")),
+                Err(e) => Err(format!("bad request: {e}")),
+            },
+        };
+        let request: Request = match parsed {
             Ok(r) => r,
-            Err(e) => {
-                write_line(
-                    &mut writer,
-                    &Response::Error {
-                        message: format!("bad request: {e}"),
-                    },
-                )?;
+            Err(message) => {
+                write_line(&mut writer, &Response::Error { message })?;
                 continue;
             }
         };
@@ -533,24 +536,62 @@ fn handle_submit(
     })
 }
 
-/// `read_line` against a socket with a read timeout: timeouts poll the
-/// drain flag (returning 0, like EOF, once the daemon drains while the
-/// connection is idle); partial lines survive timeouts because
-/// `read_line` appends into the same buffer across calls.
+/// What [`read_line_polling`] read.
+enum LineRead {
+    /// A line is in the buffer (newline-terminated, or the last bytes
+    /// before EOF).
+    Line,
+    /// EOF, or the daemon drained while the connection was idle.
+    End,
+    /// The line exceeded [`MAX_REQUEST_LINE`] and was dropped through
+    /// its newline.
+    TooLong,
+}
+
+/// Read one request line against a socket with a read timeout:
+/// timeouts poll the drain flag (ending the connection once the daemon
+/// drains while it is idle); partial lines survive timeouts because
+/// `read_until` appends into the same buffer across calls. At most
+/// [`MAX_REQUEST_LINE`] bytes are buffered; the rest of a longer line is
+/// read and discarded.
 fn read_line_polling(
     reader: &mut BufReader<UnixStream>,
-    line: &mut String,
+    line: &mut Vec<u8>,
     shared: &Shared,
-) -> std::io::Result<usize> {
+) -> std::io::Result<LineRead> {
+    let mut oversized = false;
     loop {
-        match reader.read_line(line) {
-            Ok(n) => return Ok(n),
+        let room = (MAX_REQUEST_LINE - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', line) {
+            Ok(_) => {
+                let complete = line.last() == Some(&b'\n');
+                // Short of the cap without a newline means EOF.
+                let eof = !complete && line.len() < MAX_REQUEST_LINE;
+                if oversized {
+                    line.clear();
+                    if complete {
+                        return Ok(LineRead::TooLong);
+                    }
+                    if eof {
+                        return Ok(LineRead::End);
+                    }
+                } else if complete || eof {
+                    return Ok(if line.is_empty() {
+                        LineRead::End
+                    } else {
+                        LineRead::Line
+                    });
+                } else {
+                    oversized = true;
+                    line.clear();
+                }
+            }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
                 if shared.shutdown.is_requested() && line.is_empty() {
-                    return Ok(0);
+                    return Ok(LineRead::End);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}

@@ -626,6 +626,9 @@ impl CorePipeline {
             }
         }
         let d = d?;
+        if self.tlb_enabled && d != 0 {
+            return None; // `plan_linear` refuses a shift under live translation
+        }
         // Absolute footprint over all iterations, in the shifted frame.
         let mut fp: Option<(i128, i128)> = None;
         for (op, step) in body.iter().zip(steps) {
@@ -715,8 +718,8 @@ impl CorePipeline {
 
     fn plan_strided(&self, base: u64, stride: i64, count: u64, size: u32) -> Option<FfPlan> {
         debug_assert!(self.fastpath);
-        if count == 0 {
-            return None;
+        if count == 0 || (self.tlb_enabled && stride != 0) {
+            return None; // `plan_linear` refuses a shift under live translation
         }
         let span = i128::from(stride) * i128::from(count - 1);
         let fp = (
@@ -771,7 +774,9 @@ impl CorePipeline {
 
     fn plan_range(&self, addr: u64, len: u64) -> Option<FfPlan> {
         debug_assert!(self.fastpath);
-        if len == 0 {
+        // A range shifts by the whole fold modulus per chunk, which live
+        // translation refuses.
+        if len == 0 || self.tlb_enabled {
             return None;
         }
         let params = self.ff_params();
@@ -782,7 +787,7 @@ impl CorePipeline {
         let end = addr.saturating_add(len);
         let lines = ((end - 1) >> shift) - (addr >> shift) + 1;
         let chunks = lines / p;
-        if chunks < MIN_CHUNKS || params.tlb {
+        if chunks < MIN_CHUNKS {
             return None;
         }
         let chunk_delta = i64::try_from(m).ok()?;

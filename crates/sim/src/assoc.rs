@@ -170,8 +170,17 @@ fn scan_oldest(stamps: &[u64]) -> u32 {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Reserved {
     way: u32,
-    /// The slot holds a valid entry that installation will evict.
-    evict: bool,
+}
+
+/// The token [`AssocArray::probe`] returns for an absent key: the set's
+/// first invalid way (`u32::MAX` when the set is full). A follow-up
+/// [`AssocArray::install`] of the same key lands there, or picks the
+/// policy's victim on a full set, exactly as [`AssocArray::insert`]
+/// would. The token stays valid only while nothing mutates the array
+/// between the probe and the install.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Absent {
+    first_invalid: u32,
 }
 
 impl AssocArray {
@@ -323,16 +332,12 @@ impl AssocArray {
             self.policy,
             ReplacementPolicy::Lru | ReplacementPolicy::Fifo
         ) {
-            Some(if first_invalid != u32::MAX {
-                Reserved {
-                    way: first_invalid,
-                    evict: false,
-                }
-            } else {
-                Reserved {
-                    way: scan_oldest(&self.stamps[base..base + self.ways]),
-                    evict: true,
-                }
+            Some(Reserved {
+                way: if first_invalid != u32::MAX {
+                    first_invalid
+                } else {
+                    scan_oldest(&self.stamps[base..base + self.ways])
+                },
             })
         } else {
             None
@@ -362,26 +367,73 @@ impl AssocArray {
             "reserved install of a present key"
         );
         let set = self.set_of(key);
-        let i = self.idx(set, r.way);
-        if !r.evict {
-            debug_assert_eq!(self.tags[i], TAG_INVALID);
-            self.tags[i] = key;
-            self.flags[i] = FLAG_VALID | new_flags;
-            self.stamp_fill(set, r.way);
-            self.hint[set] = r.way;
-            return InsertOutcome::Installed(r.way);
-        }
+        self.place(set, r.way, key, new_flags)
+    }
+
+    /// Write `key` into `(set, way)` as a fresh fill: tag, flags, fill
+    /// recency and last-hit hint. Reports the way as `Installed` when it
+    /// was empty, else as `Evicted` with the previous occupant.
+    #[inline]
+    fn place(&mut self, set: usize, way: u32, key: u64, new_flags: u8) -> InsertOutcome {
+        let i = self.idx(set, way);
         let old_tag = self.tags[i];
         let old_flags = self.flags[i];
         self.tags[i] = key;
         self.flags[i] = FLAG_VALID | new_flags;
-        self.stamp_fill(set, r.way);
-        self.hint[set] = r.way;
-        InsertOutcome::Evicted {
-            way: r.way,
-            old_tag,
-            old_flags,
+        self.stamp_fill(set, way);
+        self.hint[set] = way;
+        if old_tag == TAG_INVALID {
+            InsertOutcome::Installed(way)
+        } else {
+            InsertOutcome::Evicted {
+                way,
+                old_tag,
+                old_flags,
+            }
         }
+    }
+
+    /// Locate `key` without changing any state, last-hit way first:
+    /// `Ok(way)` when resident, else the [`Absent`] token a follow-up
+    /// [`AssocArray::install`] of the key fills through. One tag scan
+    /// serves both the residency check and the placement.
+    #[inline]
+    pub(crate) fn probe(&self, key: u64) -> Result<u32, Absent> {
+        let set = self.set_of(key);
+        let base = set * self.ways;
+        let h = self.hint[set];
+        if (h as usize) < self.ways && self.tags[base + h as usize] == key {
+            return Ok(h);
+        }
+        let (found, first_invalid) = scan_tags(&self.tags[base..base + self.ways], key);
+        if found != u32::MAX {
+            Ok(found)
+        } else {
+            Err(Absent { first_invalid })
+        }
+    }
+
+    /// Install `key`, which [`AssocArray::probe`] found absent with no
+    /// intervening operations on this array, into the slot the probe
+    /// remembered: the first invalid way, else the policy's victim (an
+    /// LRU/FIFO oldest-stamp scan, the tree-PLRU walk, or one draw of the
+    /// replacement RNG).
+    #[inline]
+    pub(crate) fn install(&mut self, key: u64, new_flags: u8, absent: Absent) -> InsertOutcome {
+        debug_assert_ne!(key, TAG_INVALID, "key collides with the empty-way sentinel");
+        debug_assert!(self.peek(key).is_none(), "install of a present key");
+        let set = self.set_of(key);
+        let way = if absent.first_invalid != u32::MAX {
+            debug_assert_eq!(
+                self.tags[self.idx(set, absent.first_invalid)],
+                TAG_INVALID,
+                "stale absent token"
+            );
+            absent.first_invalid
+        } else {
+            self.victim(set)
+        };
+        self.place(set, way, key, new_flags)
     }
 
     /// Find `key` without changing any state.
@@ -443,17 +495,16 @@ impl AssocArray {
         }
     }
 
+    /// The way a fill of a full `set` evicts. Stamped policies take the
+    /// first oldest-stamp way (every stamp participates, the set being
+    /// full); random replacement draws its RNG once; tree-PLRU follows
+    /// its bits.
+    #[inline]
     fn victim(&mut self, set: usize) -> u32 {
         match self.policy {
             ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
                 let base = set * self.ways;
-                let mut best = 0usize;
-                for w in 1..self.ways {
-                    if self.stamps[base + w] < self.stamps[base + best] {
-                        best = w;
-                    }
-                }
-                best as u32
+                scan_oldest(&self.stamps[base..base + self.ways])
             }
             ReplacementPolicy::Random => {
                 self.rng ^= self.rng << 13;
@@ -480,47 +531,15 @@ impl AssocArray {
     /// are OR-ed in.
     pub(crate) fn insert(&mut self, key: u64, new_flags: u8) -> InsertOutcome {
         debug_assert_ne!(key, TAG_INVALID, "key collides with the empty-way sentinel");
-        let set = self.set_of(key);
-        let base = set * self.ways;
-        let (found, first_invalid) = scan_tags(&self.tags[base..base + self.ways], key);
-        if found != u32::MAX {
-            let i = base + found as usize;
-            self.flags[i] |= new_flags;
-            self.stamp_fill(set, found);
-            return InsertOutcome::AlreadyPresent(found);
-        }
-        if first_invalid != u32::MAX {
-            let w = first_invalid as usize;
-            let i = base + w;
-            self.tags[i] = key;
-            self.flags[i] = FLAG_VALID | new_flags;
-            self.stamp_fill(set, w as u32);
-            self.hint[set] = w as u32;
-            return InsertOutcome::Installed(w as u32);
-        }
-        // Evict. Stamped policies take the oldest-stamp way (the set is
-        // full, so every stamp participates — same first-minimum choice
-        // `victim` makes); the others defer to their policy state/RNG.
-        let stamped = matches!(
-            self.policy,
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo
-        );
-        let w = if stamped {
-            scan_oldest(&self.stamps[base..base + self.ways])
-        } else {
-            self.victim(set)
-        };
-        let i = base + w as usize;
-        let old_tag = self.tags[i];
-        let old_flags = self.flags[i];
-        self.tags[i] = key;
-        self.flags[i] = FLAG_VALID | new_flags;
-        self.stamp_fill(set, w);
-        self.hint[set] = w;
-        InsertOutcome::Evicted {
-            way: w,
-            old_tag,
-            old_flags,
+        match self.probe(key) {
+            Ok(way) => {
+                let set = self.set_of(key);
+                let i = self.idx(set, way);
+                self.flags[i] |= new_flags;
+                self.stamp_fill(set, way);
+                InsertOutcome::AlreadyPresent(way)
+            }
+            Err(absent) => self.install(key, new_flags, absent),
         }
     }
 
@@ -707,6 +726,8 @@ impl AssocArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn lookup_miss_then_insert_then_hit() {
@@ -882,6 +903,160 @@ mod tests {
             match a.insert(2, 0) {
                 InsertOutcome::Evicted { way, .. } => assert_eq!(way, 0, "{policy}"),
                 other => panic!("{policy}: expected eviction, got {other:?}"),
+            }
+        }
+    }
+
+    /// The counters a cache level derives from fill outcomes.
+    #[derive(Debug, Default, PartialEq)]
+    struct Tally {
+        fills: u64,
+        prefetch_fills: u64,
+        evictions: u64,
+        dirty_evictions: u64,
+    }
+
+    impl Tally {
+        fn fill(&mut self, outcome: InsertOutcome, prefetched: bool) {
+            match outcome {
+                InsertOutcome::AlreadyPresent(_) => return,
+                InsertOutcome::Installed(_) => {}
+                InsertOutcome::Evicted { old_flags, .. } => {
+                    self.evictions += 1;
+                    self.dirty_evictions += u64::from(old_flags & FLAG_DIRTY != 0);
+                }
+            }
+            self.fills += 1;
+            self.prefetch_fills += u64::from(prefetched);
+        }
+    }
+
+    /// The placement `insert` made before it was built from `probe` +
+    /// `install`, written out: a full scan of the set for the key, then
+    /// the first invalid way, else the policy's victim (first strict
+    /// minimum stamp, one xorshift draw, or the tree-PLRU walk).
+    fn full_scan_insert(a: &mut AssocArray, key: u64, new_flags: u8) -> InsertOutcome {
+        let set = a.set_of(key);
+        let base = set * a.ways;
+        let row = base..base + a.ways;
+        if let Some(w) = a.tags[row.clone()].iter().position(|&t| t == key) {
+            a.flags[base + w] |= new_flags;
+            a.stamp_fill(set, w as u32);
+            return InsertOutcome::AlreadyPresent(w as u32);
+        }
+        let empty = a.tags[row].iter().position(|&t| t == TAG_INVALID);
+        let w = match (empty, a.policy) {
+            (Some(w), _) => w,
+            (None, ReplacementPolicy::Lru | ReplacementPolicy::Fifo) => {
+                let mut best = 0;
+                for w in 1..a.ways {
+                    if a.stamps[base + w] < a.stamps[base + best] {
+                        best = w;
+                    }
+                }
+                best
+            }
+            (None, ReplacementPolicy::Random) => {
+                a.rng ^= a.rng << 13;
+                a.rng ^= a.rng >> 7;
+                a.rng ^= a.rng << 17;
+                (a.rng % a.ways as u64) as usize
+            }
+            (None, ReplacementPolicy::TreePlru) => {
+                let bits = &a.plru[set * (a.ways - 1)..(set + 1) * (a.ways - 1)];
+                let mut node = 0;
+                while node < bits.len() {
+                    node = 2 * node + 1 + usize::from(bits[node]);
+                }
+                node - bits.len()
+            }
+        };
+        let i = base + w;
+        let (old_tag, old_flags) = (a.tags[i], a.flags[i]);
+        a.tags[i] = key;
+        a.flags[i] = FLAG_VALID | new_flags;
+        a.stamp_fill(set, w as u32);
+        a.hint[set] = w as u32;
+        if empty.is_some() {
+            InsertOutcome::Installed(w as u32)
+        } else {
+            InsertOutcome::Evicted {
+                way: w as u32,
+                old_tag,
+                old_flags,
+            }
+        }
+    }
+
+    fn same_state(a: &AssocArray, b: &AssocArray) -> bool {
+        a.tags == b.tags
+            && a.flags == b.flags
+            && a.stamps == b.stamps
+            && a.plru == b.plru
+            && a.clock == b.clock
+            && a.rng == b.rng
+            && a.hint == b.hint
+    }
+
+    proptest! {
+        /// The fused prefetch fill (`probe`, then `install` through its
+        /// token) and `insert` leave exactly the state and counters of the
+        /// two-scan path they replace (`peek`, then a full-scan insert),
+        /// under every replacement policy and any mix of probes, demand
+        /// touches, demand fills and prefetch fills.
+        #[test]
+        fn probe_install_matches_the_two_scan_path(
+            steps in collection::vec((0u8..4, 0u64..1 << 16, any::<bool>()), 1..300),
+            sets_log in 0u32..3,
+            ways_log in 0u32..4,
+            seed in 1u64..1 << 32,
+        ) {
+            let (sets, ways) = (1usize << sets_log, 1usize << ways_log);
+            let keys = (sets * ways * 3) as u64;
+            for policy in ReplacementPolicy::all() {
+                let mut old = AssocArray::new(sets, ways, policy, seed);
+                let mut new = old.clone();
+                let (mut old_tally, mut new_tally) = (Tally::default(), Tally::default());
+                for &(op, k, dirty) in &steps {
+                    let key = k % keys;
+                    let flags = if dirty { FLAG_DIRTY } else { 0 };
+                    // 0: probe; 1: demand touch, filling on a miss;
+                    // 2: prefetch fill; 3: plain fill (a writeback).
+                    let fill = match op {
+                        0 => {
+                            prop_assert_eq!(old.peek(key), new.probe(key).ok());
+                            None
+                        }
+                        1 => {
+                            let hit = old.access_demand(key, dirty);
+                            prop_assert_eq!(hit, new.access_demand(key, dirty));
+                            hit.is_none().then_some(flags)
+                        }
+                        2 => {
+                            if old.peek(key).is_none() {
+                                let o = full_scan_insert(&mut old, key, FLAG_PREFETCHED);
+                                old_tally.fill(o, true);
+                            }
+                            if let Err(slot) = new.probe(key) {
+                                new_tally.fill(new.install(key, FLAG_PREFETCHED, slot), true);
+                            }
+                            None
+                        }
+                        _ => Some(flags),
+                    };
+                    if let Some(flags) = fill {
+                        let o = full_scan_insert(&mut old, key, flags);
+                        let n = new.insert(key, flags);
+                        prop_assert_eq!(o, n);
+                        old_tally.fill(o, false);
+                        new_tally.fill(n, false);
+                    }
+                    prop_assert!(
+                        same_state(&old, &new),
+                        "{policy}: state diverged at key {key}, op {op}"
+                    );
+                    prop_assert_eq!(&old_tally, &new_tally);
+                }
             }
         }
     }

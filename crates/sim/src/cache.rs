@@ -1,6 +1,8 @@
 //! Set-associative cache model: write-back, write-allocate.
 
-use crate::assoc::{AssocArray, InsertOutcome, Reserved, FLAG_DIRTY, FLAG_PREFETCHED, FLAG_VALID};
+use crate::assoc::{
+    Absent, AssocArray, InsertOutcome, Reserved, FLAG_DIRTY, FLAG_PREFETCHED, FLAG_VALID,
+};
 use crate::replacement::ReplacementPolicy;
 use crate::stats::LevelStats;
 use serde::{Deserialize, Serialize};
@@ -359,6 +361,28 @@ impl Cache {
             .array
             .insert(line_addr, Self::fill_flags(is_write, prefetched));
         self.account_fill(outcome, prefetched)
+    }
+
+    /// Where a prefetch of `line_addr` would land, without changing any
+    /// state: `None` when the line is resident (the prefetch is dropped),
+    /// else the token [`Cache::fill_prefetch`] installs through. The
+    /// last-hit way is tried first, then one set scan answers both
+    /// residency and placement.
+    #[inline]
+    pub(crate) fn prefetch_slot(&self, line_addr: u64) -> Option<Absent> {
+        self.array.probe(line_addr).err()
+    }
+
+    /// [`Cache::fill`] of a prefetched line through the token
+    /// [`Cache::prefetch_slot`] returned for it, with nothing touching
+    /// this level in between: the same victim, counters and dirty victim
+    /// as the plain fill, without its placement scan.
+    #[inline]
+    pub(crate) fn fill_prefetch(&mut self, line_addr: u64, slot: Absent) -> Option<u64> {
+        let outcome = self
+            .array
+            .install(line_addr, Self::fill_flags(false, true), slot);
+        self.account_fill(outcome, true)
     }
 
     /// [`Cache::fill`] through a slot remembered by

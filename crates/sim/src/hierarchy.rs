@@ -583,9 +583,13 @@ impl CorePipeline {
         let preds = std::mem::take(&mut self.pred_buf);
         let n = self.levels.len();
         for &p in &preds {
-            if self.levels[k].contains(p) {
+            // One read-only probe of level k decides residency and, for
+            // an absent line, where its fill lands. Nothing below mutates
+            // level k before `fill_prefetch` (the source search only
+            // reads the lower levels), so the token stays exact.
+            let Some(slot) = self.levels[k].prefetch_slot(p) else {
                 continue;
-            }
+            };
             filled = true;
             // Find the closest level below k that already holds the line.
             let mut source = n; // DRAM by default
@@ -604,7 +608,7 @@ impl CorePipeline {
                 self.cur.dram.reads += 1;
                 self.tally_dram_channel(p);
             }
-            if let Some(victim) = self.levels[k].fill(p, false, true) {
+            if let Some(victim) = self.levels[k].fill_prefetch(p, slot) {
                 self.writeback(victim, k);
             }
         }

@@ -74,6 +74,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         s: s.as_bytes(),
         i: 0,
+        depth: 0,
     };
     let value = p.parse_value()?;
     p.skip_ws();
@@ -179,9 +180,16 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
     }
 }
 
+/// Deepest array/object nesting [`from_str`] accepts. The parser
+/// recurses once per level, so without a limit a line of `[`s from a
+/// client or a damaged file overflows the stack and aborts the process.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     s: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -214,8 +222,8 @@ impl Parser<'_> {
     fn parse_value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", Value::Bool(true)),
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
@@ -223,6 +231,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(Error::new(format!("unexpected input at byte {}", self.i))),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.i
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_literal(&mut self, lit: &str, value: Value) -> Result<Value, Error> {
@@ -433,6 +456,19 @@ mod tests {
         assert_eq!(v, -42);
         let u: u64 = from_str("18446744073709551615").unwrap();
         assert_eq!(u, u64::MAX);
+    }
+
+    #[test]
+    fn nesting_is_limited_instead_of_overflowing_the_stack() {
+        let deep =
+            |open: &str, close: &str, depth: usize| open.repeat(depth) + "0" + &close.repeat(depth);
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            assert!(from_str::<Value>(&deep(open, close, MAX_DEPTH)).is_ok());
+            let err = from_str::<Value>(&deep(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than"), "{err}");
+            // Far past any stack: refused at the limit, not parsed.
+            assert!(from_str::<Value>(&open.repeat(200_000)).is_err());
+        }
     }
 
     #[test]

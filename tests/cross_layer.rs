@@ -9,7 +9,7 @@ use membound::core::{
 use membound::image::generate;
 use membound::parallel::{Pool, Schedule};
 use membound::sim::{Device, Machine, PrefetcherConfig};
-use membound::trace::TraceSink;
+use membound::trace::{IterCost, TraceSink};
 
 /// The native and simulated paths must agree on the *ordering* of the
 /// transpose ladder: any variant the model says is faster must not be
@@ -107,6 +107,68 @@ fn prefetch_ablation_matches_the_starfive_anomaly() {
                 "{device}: no-prefetch should be much slower (x{slowdown:.2})"
             );
         }
+    }
+}
+
+/// A single-pass blocked triad `a[i] = b[i] + s*c[i]` over three
+/// well-separated arrays, in 8 KiB blocks per stream (the
+/// `whatif_large_n` kernel and placement).
+fn blocked_triad<S: TraceSink + ?Sized>(elements: u64, sink: &mut S) {
+    const BLOCK: u64 = 1024;
+    let stride = (elements * 8).next_power_of_two().max(1 << 20) + 65 * 64;
+    let a = 0x2000_0000_0000u64;
+    let (b, c) = (a + stride, a + 2 * stride);
+    let mut i = 0;
+    while i < elements {
+        let hi = (i + BLOCK).min(elements);
+        let bytes = (hi - i) * 8;
+        sink.load_range(b + i * 8, bytes);
+        sink.load_range(c + i * 8, bytes);
+        sink.store_range(a + i * 8, bytes);
+        i = hi;
+    }
+    let cost = IterCost::new(2, 2)
+        .mem(2, 1)
+        .elem_bytes(8)
+        .vectorizable(true);
+    sink.compute(cost, elements);
+}
+
+/// The replayed triad paths keep their counters bit for bit. On the
+/// StarFive (random-replacement L1 and L2, U74 prefetcher) every
+/// reference replays and the prefetcher fills through random victims;
+/// on the Xeon the analytic executor fast-forwards part of the pass
+/// after warm-up chunks replayed through the same prefetch path.
+#[test]
+fn replayed_triad_digests_are_pinned() {
+    for (device, elements, pin, fast_forwarded) in [
+        (
+            Device::StarFiveVisionFive,
+            1 << 18,
+            0xdddb_9c8b_1c11_590b_u64,
+            false,
+        ),
+        (
+            Device::IntelXeon4310T,
+            10 << 20,
+            0x72f1_4114_f7cb_5d4e,
+            true,
+        ),
+    ] {
+        let report = Machine::new(device.spec().without_tlb())
+            .simulate(1, |_tid, sink| blocked_triad(elements, sink));
+        assert_eq!(
+            report.analytic_ops > 0,
+            fast_forwarded,
+            "{device}: {} ops fast-forwarded",
+            report.analytic_ops
+        );
+        assert_eq!(
+            report.stats_digest(),
+            pin,
+            "{device}: triad digest {:016x} != pinned {pin:016x}",
+            report.stats_digest()
+        );
     }
 }
 

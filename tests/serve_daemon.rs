@@ -11,12 +11,17 @@
 //!   to completion, the exit code is 0 and the socket file is removed.
 //! * The `membound-cli serve` client round-trips the same digest over
 //!   the wire as an in-process serial run.
+//! * Hostile lines (200,000 nested `[`, a line past the length cap) are
+//!   answered with `Error`; the daemon keeps serving and exits cleanly.
 
 #![cfg(unix)]
 
 use membound::core::runner::Engine;
 use membound::serve::client::{SubmitOptions, SubmitOutcome};
-use membound::serve::{Client, JobSpec};
+use membound::serve::protocol::to_line;
+use membound::serve::{Client, JobSpec, Request, Response};
+use std::io::{BufRead as _, BufReader, Write as _};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -240,6 +245,62 @@ fn cli_client_round_trips_the_serial_digest() {
         .status()
         .expect("run membound-cli serve shutdown");
     assert!(status.success(), "cli shutdown failed");
+    let status = child.wait().expect("daemon exits");
+    assert!(status.success(), "clean drain exits 0: {status:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hostile_lines_are_answered_with_errors_and_the_daemon_keeps_serving() {
+    let dir = tmp_dir("hostile");
+    let socket = dir.join("mb.sock");
+    let spec = ladder(&[64]);
+    let want = serial_digest(&spec);
+
+    let mut child = spawn_daemon(&socket, 2, None);
+    drop(connect_within(&socket, 30));
+
+    let stream = UnixStream::connect(&socket).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut exchange = |line: &[u8]| -> Response {
+        writer.write_all(line).expect("send line");
+        writer.write_all(b"\n").expect("send newline");
+        let mut answer = String::new();
+        reader.read_line(&mut answer).expect("daemon answers");
+        serde_json::from_str(answer.trim()).expect("a protocol line")
+    };
+    // Deep nesting: refused by the parser's depth limit.
+    match exchange(&vec![b'['; 200_000]) {
+        Response::Error { message } => assert!(message.contains("nesting"), "{message}"),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    // A line past the length cap: dropped through its newline.
+    match exchange(&vec![b' '; 3 << 20]) {
+        Response::Error { message } => assert!(message.contains("longer than"), "{message}"),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    // The same connection still speaks the protocol.
+    match exchange(to_line(&Request::Status { job: None }).as_bytes()) {
+        Response::Status { .. } => {}
+        other => panic!("expected Status, got {other:?}"),
+    }
+
+    // And the daemon still runs jobs.
+    let mut client = connect_within(&socket, 30);
+    match client
+        .submit(&spec, &SubmitOptions::default(), |_| {})
+        .expect("submit exchange")
+    {
+        SubmitOutcome::Done { digest, .. } => {
+            assert_eq!(digest.expect("digest"), want, "served after hostile input");
+        }
+        other => panic!("expected Done, got {other:?}"),
+    }
+    client.shutdown().expect("shutdown request");
     let status = child.wait().expect("daemon exits");
     assert!(status.success(), "clean drain exits 0: {status:?}");
     let _ = std::fs::remove_dir_all(&dir);
