@@ -11,7 +11,7 @@
 //! CI regression gate compares against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use membound_core::experiment::simulate_transpose;
+use membound_core::experiment::{simulate, CellKind};
 use membound_core::{TransposeConfig, TransposeVariant};
 use membound_sim::{Device, Machine};
 use membound_trace::TraceSink;
@@ -154,10 +154,13 @@ fn bench_range_vs_elements(c: &mut Criterion) {
 fn bench_fig2_cell(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath_fig2_transpose_512");
     group.sample_size(10);
-    let cfg = TransposeConfig::new(512);
-    let spec = Device::MangoPiMqPro.spec();
+    let kind = CellKind::Transpose {
+        variant: TransposeVariant::Naive,
+        cfg: TransposeConfig::new(512),
+    };
+    let machine = Machine::new(Device::MangoPiMqPro.spec());
     group.bench_function(BenchmarkId::from_parameter("mango/naive"), |b| {
-        b.iter(|| simulate_transpose(&spec, TransposeVariant::Naive, cfg));
+        b.iter(|| simulate(&machine, &kind));
     });
     group.finish();
 }

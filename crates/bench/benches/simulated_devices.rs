@@ -7,7 +7,7 @@
 //! Run with `cargo bench -p membound-bench --bench simulated_devices`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use membound_core::experiment::{simulate_blur, simulate_transpose};
+use membound_core::experiment::{simulate, CellKind};
 use membound_core::{BlurConfig, BlurVariant, TransposeConfig, TransposeVariant};
 use membound_sim::{Device, Machine};
 use membound_trace::TraceSink;
@@ -45,8 +45,8 @@ fn bench_simulated_transpose(c: &mut Criterion) {
         for variant in [TransposeVariant::Naive, TransposeVariant::Dynamic] {
             let id = format!("{}/{}", device.label(), variant.label());
             group.bench_function(BenchmarkId::from_parameter(id), |b| {
-                let spec = device.spec();
-                b.iter(|| simulate_transpose(&spec, variant, cfg));
+                let machine = Machine::new(device.spec());
+                b.iter(|| simulate(&machine, &CellKind::Transpose { variant, cfg }));
             });
         }
     }
@@ -61,8 +61,8 @@ fn bench_simulated_blur(c: &mut Criterion) {
         for variant in [BlurVariant::Naive, BlurVariant::Memory] {
             let id = format!("{}/{}", device.label(), variant.label());
             group.bench_function(BenchmarkId::from_parameter(id), |b| {
-                let spec = device.spec();
-                b.iter(|| simulate_blur(&spec, variant, cfg));
+                let machine = Machine::new(device.spec());
+                b.iter(|| simulate(&machine, &CellKind::Blur { variant, cfg }));
             });
         }
     }

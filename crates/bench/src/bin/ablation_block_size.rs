@@ -5,10 +5,10 @@
 //! staging buffer is `block² × 8` bytes) against loop overhead.
 
 use membound_bench::{scale_banner, Args};
-use membound_core::experiment::simulate_transpose;
+use membound_core::experiment::{simulate, CellKind};
 use membound_core::report::{fmt_seconds, to_json, TextTable};
 use membound_core::{TransposeConfig, TransposeVariant};
-use membound_sim::Device;
+use membound_sim::{Device, Machine};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -35,11 +35,12 @@ fn main() {
                 .collect(),
         );
         for device in Device::paper() {
-            let spec = device.spec();
+            let machine = Machine::new(device.spec());
             let mut cells = vec![device.label().to_owned()];
             for &block in &blocks {
                 let cfg = TransposeConfig::with_block(n, block);
-                let seconds = simulate_transpose(&spec, variant, cfg)
+                let seconds = simulate(&machine, &CellKind::Transpose { variant, cfg })
+                    .into_report()
                     .expect("matrix fits")
                     .seconds;
                 cells.push(fmt_seconds(seconds));

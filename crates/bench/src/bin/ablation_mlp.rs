@@ -7,11 +7,11 @@
 //! never changes, only the naive variant's absolute time scales.
 
 use membound_bench::{scale_banner, Args};
-use membound_core::experiment::{simulate_transpose, simulate_transpose_budgeted};
+use membound_core::experiment::{simulate, CellKind};
 use membound_core::report::{fmt_seconds, to_json, TextTable};
 use membound_core::runner::resolve_jobs;
 use membound_core::{TransposeConfig, TransposeVariant};
-use membound_sim::{Device, JobBudget};
+use membound_sim::{Device, JobBudget, Machine};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -44,13 +44,15 @@ fn main() {
         for factor in [0.5, 1.0, 2.0, 4.0] {
             let mut spec = device.spec();
             spec.core.mlp = (base_mlp * factor).max(1.0);
-            let naive = simulate_transpose(&spec, TransposeVariant::Naive, cfg)
-                .expect("fits")
-                .seconds;
-            let dynamic =
-                simulate_transpose_budgeted(&spec, TransposeVariant::Dynamic, cfg, &budget)
+            let machine = Machine::new(spec.clone()).with_budget(budget.clone());
+            let seconds = |variant| {
+                simulate(&machine, &CellKind::Transpose { variant, cfg })
+                    .into_report()
                     .expect("fits")
-                    .seconds;
+                    .seconds
+            };
+            let naive = seconds(TransposeVariant::Naive);
+            let dynamic = seconds(TransposeVariant::Dynamic);
             table.row(vec![
                 device.label().into(),
                 format!("{:.1}", spec.core.mlp),

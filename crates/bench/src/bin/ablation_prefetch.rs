@@ -6,11 +6,12 @@
 //! to be prepared on time").
 
 use membound_bench::{scale_banner, Args};
-use membound_core::experiment::{simulate_blur, stream_dram_gbps_budgeted};
+use membound_core::experiment::{simulate, stream_dram_gbps, CellKind};
+use membound_core::figures;
 use membound_core::report::{to_json, TextTable};
 use membound_core::runner::resolve_jobs;
 use membound_core::BlurVariant;
-use membound_sim::{Device, JobBudget};
+use membound_sim::{Device, JobBudget, Machine};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -25,7 +26,7 @@ struct Row {
 fn main() {
     let args = Args::parse("ablation_prefetch");
     let cfg = if args.full {
-        args.blur_config()
+        figures::blur_config(true)
     } else {
         membound_core::BlurConfig::small(507, 636)
     };
@@ -47,13 +48,23 @@ fn main() {
     // Devices are walked serially; the whole budget is spare for the
     // multi-core STREAM replays (the blur variant here is single-core).
     let budget = JobBudget::new(resolve_jobs(args.jobs));
+    let blur = |machine: &Machine| {
+        let kind = CellKind::Blur {
+            variant: BlurVariant::UnitStride,
+            cfg,
+        };
+        simulate(machine, &kind)
+            .into_report()
+            .expect("fits")
+            .seconds
+    };
     for device in Device::paper() {
-        let with = device.spec();
-        let without = device.spec().without_prefetchers();
-        let stream_with = stream_dram_gbps_budgeted(&with, &budget);
-        let stream_without = stream_dram_gbps_budgeted(&without, &budget);
-        let blur_with = simulate_blur(&with, BlurVariant::UnitStride, cfg).seconds;
-        let blur_without = simulate_blur(&without, BlurVariant::UnitStride, cfg).seconds;
+        let with = Machine::new(device.spec()).with_budget(budget.clone());
+        let without = Machine::new(device.spec().without_prefetchers()).with_budget(budget.clone());
+        let stream_with = stream_dram_gbps(&with);
+        let stream_without = stream_dram_gbps(&without);
+        let blur_with = blur(&with);
+        let blur_without = blur(&without);
         table.row(vec![
             device.label().into(),
             format!("{stream_with:.2}"),

@@ -5,10 +5,10 @@
 //! shape change if the JH7100 had used LRU?
 
 use membound_bench::{scale_banner, Args};
-use membound_core::experiment::simulate_transpose;
+use membound_core::experiment::{simulate, CellKind};
 use membound_core::report::{fmt_seconds, to_json, TextTable};
 use membound_core::{TransposeConfig, TransposeVariant};
-use membound_sim::{Device, ReplacementPolicy};
+use membound_sim::{Device, Machine, ReplacementPolicy};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -48,7 +48,12 @@ fn main() {
             TransposeVariant::Blocking,
             TransposeVariant::ManualBlocking,
         ] {
-            let report = simulate_transpose(&spec, variant, cfg).expect("fits");
+            let report = simulate(
+                &Machine::new(spec.clone()),
+                &CellKind::Transpose { variant, cfg },
+            )
+            .into_report()
+            .expect("fits");
             let hit_rate = report.cache_stats[0].hit_rate();
             table.row(vec![
                 policy.to_string(),

@@ -9,8 +9,9 @@
 
 use membound_bench::{scale_banner, Args};
 use membound_core::cache::CachedOutcome;
+use membound_core::figures;
 use membound_core::report::{fmt_seconds, fmt_speedup, to_json, BarChart, TextTable};
-use membound_core::runner::{Cell, CellOutcome, ExperimentMatrix};
+use membound_core::runner::CellOutcome;
 use membound_core::{TransposeConfig, TransposeVariant};
 use serde::Serialize;
 
@@ -27,29 +28,19 @@ struct Row {
 
 fn main() {
     let args = Args::parse("fig2_transpose");
-    let (n1, n2) = args.transpose_sizes();
+    let [n1, n2] = figures::transpose_sizes(args.full);
     let devices = args.devices();
     let engine = args.engine();
     println!("FIG2: in-place matrix transposition, five variants x four devices");
     println!("{}", scale_banner(args.full));
     println!("engine: {} jobs\n", engine.jobs());
 
-    let mut matrix = ExperimentMatrix::new("fig2_transpose");
-    for n in [n1, n2] {
-        let cfg = TransposeConfig::new(n);
-        for device in &devices {
-            let spec = device.spec();
-            for variant in TransposeVariant::all() {
-                matrix.push(Cell::transpose(
-                    n.to_string(),
-                    device.label(),
-                    &spec,
-                    variant,
-                    cfg,
-                ));
-            }
-        }
-    }
+    let matrix = figures::transpose_ladder(
+        "fig2_transpose",
+        &[n1, n2].map(TransposeConfig::new),
+        &devices,
+        &TransposeVariant::all(),
+    );
     let results = args.run_matrix(&engine, &matrix);
 
     let mut rows = Vec::new();

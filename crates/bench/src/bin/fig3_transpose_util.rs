@@ -8,8 +8,8 @@
 //! reproduces the figure without simulating.
 
 use membound_bench::{scale_banner, Args};
+use membound_core::figures;
 use membound_core::report::{to_json, TextTable};
-use membound_core::runner::{Cell, ExperimentMatrix};
 use membound_core::{TransposeConfig, TransposeVariant};
 use serde::Serialize;
 
@@ -25,7 +25,7 @@ struct Row {
 
 fn main() {
     let args = Args::parse("fig3_transpose_util");
-    let (n1, n2) = args.transpose_sizes();
+    let [n1, n2] = figures::transpose_sizes(args.full);
     let devices = args.devices();
     let engine = args.engine();
     println!("FIG3: relative memory-bandwidth utilization, transposition");
@@ -41,24 +41,14 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    let mut matrix = ExperimentMatrix::new("fig3_transpose_util");
+    let mut matrix = figures::transpose_ladder(
+        "fig3_transpose_util",
+        &[n1, n2].map(TransposeConfig::new),
+        &devices,
+        &TransposeVariant::all(),
+    );
     for (label, gbps) in &baselines {
         matrix.stream_baseline(label, *gbps);
-    }
-    for n in [n1, n2] {
-        let cfg = TransposeConfig::new(n);
-        for device in &devices {
-            let spec = device.spec();
-            for variant in TransposeVariant::all() {
-                matrix.push(Cell::transpose(
-                    n.to_string(),
-                    device.label(),
-                    &spec,
-                    variant,
-                    cfg,
-                ));
-            }
-        }
     }
     let results = args.run_matrix(&engine, &matrix);
 

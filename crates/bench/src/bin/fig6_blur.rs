@@ -7,8 +7,8 @@
 //! persistent result cache and skip simulation on warm re-runs.
 
 use membound_bench::{scale_banner, Args};
+use membound_core::figures;
 use membound_core::report::{fmt_seconds, fmt_speedup, to_json, BarChart, TextTable};
-use membound_core::runner::{Cell, ExperimentMatrix};
 use membound_core::BlurVariant;
 use serde::Serialize;
 
@@ -23,7 +23,7 @@ struct Row {
 
 fn main() {
     let args = Args::parse("fig6_blur");
-    let cfg = args.blur_config();
+    let cfg = figures::blur_config(args.full);
     let devices = args.devices();
     let engine = args.engine();
     println!(
@@ -33,20 +33,7 @@ fn main() {
     println!("{}", scale_banner(args.full));
     println!("engine: {} jobs\n", engine.jobs());
 
-    let panel = format!("{}x{}", cfg.height, cfg.width);
-    let mut matrix = ExperimentMatrix::new("fig6_blur");
-    for device in &devices {
-        let spec = device.spec();
-        for variant in BlurVariant::all() {
-            matrix.push(Cell::blur(
-                panel.clone(),
-                device.label(),
-                &spec,
-                variant,
-                cfg,
-            ));
-        }
-    }
+    let matrix = figures::blur_ladder("fig6_blur", cfg, &devices, &BlurVariant::all());
     let results = args.run_matrix(&engine, &matrix);
 
     let mut table = TextTable::new(

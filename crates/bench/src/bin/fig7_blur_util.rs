@@ -9,8 +9,8 @@
 //! persistent result cache for incremental re-runs.
 
 use membound_bench::{scale_banner, Args};
+use membound_core::figures;
 use membound_core::report::{to_json, TextTable};
-use membound_core::runner::{Cell, ExperimentMatrix};
 use membound_core::BlurVariant;
 use serde::Serialize;
 
@@ -24,7 +24,7 @@ struct Row {
 
 fn main() {
     let args = Args::parse("fig7_blur_util");
-    let cfg = args.blur_config();
+    let cfg = figures::blur_config(args.full);
     let devices = args.devices();
     let engine = args.engine();
     println!("FIG7: relative memory-bandwidth utilization, Gaussian blur");
@@ -43,22 +43,9 @@ fn main() {
             .map(|d| (d.label().to_string(), d.spec()))
             .collect::<Vec<_>>(),
     );
-    let panel = format!("{}x{}", cfg.height, cfg.width);
-    let mut matrix = ExperimentMatrix::new("fig7_blur_util");
+    let mut matrix = figures::blur_ladder("fig7_blur_util", cfg, &devices, &variants);
     for (label, gbps) in &baselines {
         matrix.stream_baseline(label, *gbps);
-    }
-    for device in &devices {
-        let spec = device.spec();
-        for variant in variants {
-            matrix.push(Cell::blur(
-                panel.clone(),
-                device.label(),
-                &spec,
-                variant,
-                cfg,
-            ));
-        }
     }
     let results = args.run_matrix(&engine, &matrix);
 

@@ -8,12 +8,12 @@
 //! restructuring (Memory) pays off.
 
 use membound_bench::Args;
-use membound_core::experiment::stream_dram_gbps_budgeted;
+use membound_core::experiment::stream_dram_gbps;
 use membound_core::report::{to_json, TextTable};
 use membound_core::roofline::{DeviceRoofline, KernelIntensity};
 use membound_core::runner::resolve_jobs;
 use membound_core::{BlurConfig, StreamOp, TransposeConfig};
-use membound_sim::{Device, JobBudget};
+use membound_sim::{Device, JobBudget, Machine};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -56,7 +56,7 @@ fn main() {
     let budget = JobBudget::new(resolve_jobs(args.jobs));
     for device in Device::paper() {
         let spec = device.spec();
-        let stream = stream_dram_gbps_budgeted(&spec, &budget);
+        let stream = stream_dram_gbps(&Machine::new(spec.clone()).with_budget(budget.clone()));
         let roof = DeviceRoofline::for_device(&spec, stream);
         for k in &kernels {
             let i = k.intensity();

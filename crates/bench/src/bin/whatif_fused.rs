@@ -33,7 +33,7 @@ struct Row {
 
 fn main() {
     let args = Args::parse("whatif_fused");
-    let cfg = args.blur_config();
+    let cfg = membound_core::figures::blur_config(args.full);
     let devices = args.devices();
     let engine = args.engine();
     println!("WHAT-IF: fused separable blur vs the paper's Parallel variant");

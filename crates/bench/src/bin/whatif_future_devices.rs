@@ -7,13 +7,12 @@
 //! model, against the paper's four devices.
 
 use membound_bench::{scale_banner, Args};
-use membound_core::experiment::{
-    simulate_blur_budgeted, simulate_transpose_budgeted, stream_dram_gbps_budgeted,
-};
+use membound_core::experiment::{simulate, stream_dram_gbps, CellKind};
+use membound_core::figures;
 use membound_core::report::{fmt_seconds, to_json, TextTable};
 use membound_core::runner::resolve_jobs;
 use membound_core::{BlurVariant, TransposeConfig, TransposeVariant};
-use membound_sim::{future, Device, DeviceSpec, JobBudget};
+use membound_sim::{future, Device, DeviceSpec, JobBudget, Machine};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -26,9 +25,8 @@ struct Row {
 
 fn main() {
     let args = Args::parse("whatif_future_devices");
-    let (n, _) = args.transpose_sizes();
-    let tcfg = TransposeConfig::new(n);
-    let bcfg = args.blur_config();
+    let tcfg = TransposeConfig::new(figures::transpose_sizes(args.full)[0]);
+    let bcfg = figures::blur_config(args.full);
     println!("WHAT-IF: best-variant kernels on RISC-V successors");
     println!("{}\n", scale_banner(args.full));
 
@@ -52,11 +50,21 @@ fn main() {
     // spare for the simulator's per-core fan-out on each device.
     let budget = JobBudget::new(resolve_jobs(args.jobs));
     for spec in &specs {
-        let stream = stream_dram_gbps_budgeted(spec, &budget);
-        let transpose = simulate_transpose_budgeted(spec, TransposeVariant::Dynamic, tcfg, &budget)
-            .map(|r| r.seconds)
-            .unwrap_or(f64::NAN);
-        let blur = simulate_blur_budgeted(spec, BlurVariant::Parallel, bcfg, &budget).seconds;
+        let machine = Machine::new(spec.clone()).with_budget(budget.clone());
+        let stream = stream_dram_gbps(&machine);
+        let seconds = |kind| {
+            simulate(&machine, &kind)
+                .into_report()
+                .map_or(f64::NAN, |r| r.seconds)
+        };
+        let transpose = seconds(CellKind::Transpose {
+            variant: TransposeVariant::Dynamic,
+            cfg: tcfg,
+        });
+        let blur = seconds(CellKind::Blur {
+            variant: BlurVariant::Parallel,
+            cfg: bcfg,
+        });
         table.row(vec![
             spec.name.clone(),
             format!("{stream:.2}"),

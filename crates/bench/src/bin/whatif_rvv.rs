@@ -9,10 +9,11 @@
 //! codegen recover?
 
 use membound_bench::{scale_banner, Args};
-use membound_core::experiment::simulate_blur;
+use membound_core::experiment::{simulate, CellKind};
+use membound_core::figures;
 use membound_core::report::{fmt_seconds, fmt_speedup, to_json, TextTable};
 use membound_core::BlurVariant;
-use membound_sim::{future, Device};
+use membound_sim::{future, Device, Machine};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -26,7 +27,7 @@ struct Row {
 
 fn main() {
     let args = Args::parse("whatif_rvv");
-    let cfg = args.blur_config();
+    let cfg = figures::blur_config(args.full);
     println!("WHAT-IF: RVV vectorization on the RISC-V boards (blur ladder)");
     println!("{}\n", scale_banner(args.full));
 
@@ -51,9 +52,13 @@ fn main() {
         };
         let mut scalar_memory = f64::NAN;
         for &vb in widths {
-            let spec = future::with_vectorization(device.spec(), vb);
-            let onedim = simulate_blur(&spec, BlurVariant::OneDimKernels, cfg).seconds;
-            let memory = simulate_blur(&spec, BlurVariant::Memory, cfg).seconds;
+            let machine = Machine::new(future::with_vectorization(device.spec(), vb));
+            let seconds = |variant| {
+                let report = simulate(&machine, &CellKind::Blur { variant, cfg }).into_report();
+                report.expect("blur always fits").seconds
+            };
+            let onedim = seconds(BlurVariant::OneDimKernels);
+            let memory = seconds(BlurVariant::Memory);
             if vb == 0 {
                 scalar_memory = memory;
             }

@@ -12,7 +12,6 @@
 use membound_core::cache::ResultCache;
 use membound_core::runner::{resolve_jobs, Engine, ExperimentMatrix, RunOptions, RunResults};
 use membound_core::telemetry::parse_partial_run_log;
-use membound_core::BlurConfig;
 use membound_parallel::Failpoint;
 use membound_sim::Device;
 use std::path::PathBuf;
@@ -271,29 +270,6 @@ impl Args {
         Device::select(filter).unwrap_or_else(|e| panic!("--device: {e}"))
     }
 
-    /// The two matrix sizes of Fig. 2/3: the paper's 8192/16384 under
-    /// `--full`, otherwise 2048/4096 (both far beyond every modelled
-    /// cache, so the ladder shapes are preserved).
-    #[must_use]
-    pub fn transpose_sizes(&self) -> (usize, usize) {
-        if self.full {
-            (8192, 16384)
-        } else {
-            (2048, 4096)
-        }
-    }
-
-    /// The blur workload of Fig. 6/7: the paper's 2544×2027 image under
-    /// `--full`, otherwise the same aspect at half resolution.
-    #[must_use]
-    pub fn blur_config(&self) -> BlurConfig {
-        if self.full {
-            BlurConfig::paper()
-        } else {
-            BlurConfig::small(1013, 1272)
-        }
-    }
-
     /// Write JSON rows (creating the parent directory), and report where.
     ///
     /// # Panics
@@ -352,21 +328,6 @@ mod tests {
             cell_deadline: None,
             cache_dir: None,
         }
-    }
-
-    #[test]
-    fn default_sizes_are_scaled_down() {
-        let a = args(false);
-        assert_eq!(a.transpose_sizes(), (2048, 4096));
-        assert_eq!(a.blur_config().width, 1272);
-    }
-
-    #[test]
-    fn full_sizes_match_the_paper() {
-        let a = args(true);
-        assert_eq!(a.transpose_sizes(), (8192, 16384));
-        let cfg = a.blur_config();
-        assert_eq!((cfg.height, cfg.width), (2027, 2544));
     }
 
     #[test]

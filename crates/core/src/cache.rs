@@ -871,8 +871,8 @@ mod tests {
     }
 
     /// Every inventory entry — not just the paper's four — must
-    /// round-trip through the selection path (`matching` finds it,
-    /// `select` on its exact preset name resolves it uniquely), produce
+    /// round-trip through the selection path (`select` resolves both its
+    /// label and its exact preset name to it uniquely), produce
     /// a serializable spec, and yield a cache key distinct from every
     /// other device's for the same workload. Guards against new presets
     /// being reachable by sweep code but invisible (or colliding) in
@@ -882,12 +882,13 @@ mod tests {
         let cell = transpose_cell(64, TransposeVariant::Naive);
         let mut keys = std::collections::BTreeSet::new();
         for &device in Device::all() {
-            assert!(
-                Device::matching(device.label()).contains(&device),
-                "{device}: label must match itself"
+            assert_eq!(
+                Device::select(device.label()),
+                Ok(vec![device]),
+                "{device}: label must select itself"
             );
-            let by_name = Device::select(&format!("{device:?}"))
-                .unwrap_or_else(|e| panic!("{device}: {e}"));
+            let by_name =
+                Device::select(&format!("{device:?}")).unwrap_or_else(|e| panic!("{device}: {e}"));
             assert_eq!(by_name, vec![device], "{device}: preset name is unique");
 
             let spec = device.spec();

@@ -19,9 +19,10 @@
 //!    ([`transpose_native`], [`blur_native`], [`run_native_stream`]),
 //!    parallelized with `membound-parallel`'s OpenMP-style pool;
 //! 2. **simulated** — replayed as a memory-reference trace against the
-//!    device models of `membound-sim` (the [`experiment`] module), which
-//!    is how the paper's cross-device figures are regenerated without
-//!    RISC-V hardware.
+//!    device models of `membound-sim` (the [`experiment`] module, whose
+//!    one entry point is [`experiment::simulate`]), which is how the
+//!    paper's cross-device figures are regenerated without RISC-V
+//!    hardware; [`figures`] builds their experiment matrices.
 //!
 //! The [`metrics`] module implements §3.3's measures (speedup over naïve,
 //! relative memory-bandwidth utilization), and [`report`] renders the
@@ -30,18 +31,16 @@
 //! # Quick example
 //!
 //! ```
-//! use membound_core::{experiment, TransposeConfig, TransposeVariant};
-//! use membound_sim::Device;
+//! use membound_core::experiment::{simulate, CellKind};
+//! use membound_core::{TransposeConfig, TransposeVariant};
+//! use membound_sim::{Device, Machine};
 //!
 //! // How long does a blocked 1024x1024 transpose take on a simulated
 //! // Mango Pi MQ-Pro, and how much DRAM traffic does it cause?
 //! let cfg = TransposeConfig::new(1024);
-//! let report = experiment::simulate_transpose(
-//!     &Device::MangoPiMqPro.spec(),
-//!     TransposeVariant::Blocking,
-//!     cfg,
-//! )
-//! .unwrap();
+//! let machine = Machine::new(Device::MangoPiMqPro.spec());
+//! let kind = CellKind::Transpose { variant: TransposeVariant::Blocking, cfg };
+//! let report = simulate(&machine, &kind).into_report().unwrap();
 //! assert!(report.seconds > 0.0);
 //! assert!(report.dram.bytes_read >= cfg.matrix_bytes());
 //! ```
@@ -51,6 +50,7 @@
 mod blur;
 pub mod cache;
 pub mod experiment;
+pub mod figures;
 mod gbmv;
 mod matrix;
 pub mod metrics;

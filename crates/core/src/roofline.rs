@@ -163,7 +163,7 @@ mod tests {
         // between nameplate and measured bandwidth, so the distinction
         // matters.
         let spec = device.spec();
-        let bw = crate::experiment::stream_dram_gbps(&spec);
+        let bw = crate::experiment::stream_dram_gbps(&membound_sim::Machine::new(spec.clone()));
         DeviceRoofline::for_device(&spec, bw)
     }
 

@@ -33,19 +33,21 @@
 
 use crate::blur::{BlurConfig, BlurVariant};
 use crate::cache::{CacheEntry, CacheKey, CachedOutcome, ResultCache};
-use crate::experiment;
+use crate::experiment::{self, Plan};
 use crate::gbmv::{GbmvConfig, GbmvVariant};
 use crate::metrics::speedup;
 use crate::stream::StreamOp;
 use crate::telemetry::{self, CellRecord, PartialRunLog, RunHeader, SimRecord, StreamingRunLog};
-use crate::transpose::{traced::TransposeTrace, TransposeConfig, TransposeVariant};
+use crate::transpose::{TransposeConfig, TransposeVariant};
 use membound_parallel::{Failpoint, JobBudget, Pool, Task};
-use membound_sim::{DeviceSpec, SimReport};
+use membound_sim::{DeviceSpec, Machine, SimReport};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
+
+pub use crate::experiment::CellKind;
 
 /// How many worker threads to use, resolved from (in precedence order)
 /// an explicit `--jobs` value, the `MEMBOUND_JOBS` environment variable,
@@ -85,76 +87,6 @@ pub fn resolve_jobs(cli: Option<u32>) -> u32 {
     std::thread::available_parallelism()
         .map(|n| n.get() as u32)
         .unwrap_or(1)
-}
-
-/// What one cell simulates.
-#[derive(Debug, Clone)]
-pub enum CellKind {
-    /// One transpose variant ([`experiment::simulate_transpose`]).
-    Transpose {
-        /// Ladder variant.
-        variant: TransposeVariant,
-        /// Matrix workload.
-        cfg: TransposeConfig,
-    },
-    /// One blur variant ([`experiment::simulate_blur`]).
-    Blur {
-        /// Ladder variant.
-        variant: BlurVariant,
-        /// Image workload.
-        cfg: BlurConfig,
-    },
-    /// The fused-blur extension ([`experiment::simulate_fused_blur`]).
-    FusedBlur {
-        /// Image workload.
-        cfg: BlurConfig,
-        /// Simulated threads (clamped to the device's cores).
-        threads: u32,
-    },
-    /// One STREAM measurement ([`experiment::simulate_stream`]).
-    Stream {
-        /// STREAM operation.
-        op: StreamOp,
-        /// Cache level index, or `None` for DRAM.
-        level: Option<usize>,
-    },
-    /// One band-matrix `gbmv` variant ([`experiment::simulate_gbmv`]).
-    Gbmv {
-        /// Ladder variant.
-        variant: GbmvVariant,
-        /// Band workload.
-        cfg: GbmvConfig,
-    },
-}
-
-impl CellKind {
-    /// Bytes the kernel must move between DRAM and the CPU, when the
-    /// §3.3 utilization metric applies to this kind of cell.
-    #[must_use]
-    pub fn nominal_bytes(&self) -> Option<u64> {
-        match self {
-            CellKind::Transpose { cfg, .. } => Some(cfg.nominal_bytes()),
-            CellKind::Blur { cfg, .. } | CellKind::FusedBlur { cfg, .. } => {
-                Some(cfg.nominal_bytes())
-            }
-            CellKind::Stream { .. } => None,
-            CellKind::Gbmv { cfg, .. } => Some(cfg.nominal_bytes()),
-        }
-    }
-
-    /// Kernel-family label in the telemetry schema (and the result
-    /// cache's key material): `"transpose"`, `"blur"`, `"fused_blur"`,
-    /// `"stream"`, or `"gbmv"`.
-    #[must_use]
-    pub fn kernel(&self) -> &'static str {
-        match self {
-            CellKind::Transpose { .. } => "transpose",
-            CellKind::Blur { .. } => "blur",
-            CellKind::FusedBlur { .. } => "fused_blur",
-            CellKind::Stream { .. } => "stream",
-            CellKind::Gbmv { .. } => "gbmv",
-        }
-    }
 }
 
 /// One cell of the experiment matrix.
@@ -288,16 +220,10 @@ impl Cell {
         let device = serde_json::to_string(&self.spec).expect("device spec serializes");
         match &self.kind {
             CellKind::Transpose { variant, cfg } => {
-                let threads = if variant.is_parallel() {
-                    self.spec.cores
-                } else {
-                    1
+                let program = self.kind.program(&self.spec);
+                let Plan::Transpose { ranges: plan, .. } = &program.plan else {
+                    unreachable!("a transpose cell plans a transpose program")
                 };
-                let trace = TransposeTrace::new(*cfg);
-                let total = trace.outer_iterations(*variant);
-                let plan = variant
-                    .schedule()
-                    .plan(total, threads, |i| trace.weight(*variant, i));
                 // The arm of `TransposeTrace::trace_outer` the variant
                 // selects; variants sharing an arm differ only in their
                 // schedule, which the plan below captures.
@@ -327,8 +253,8 @@ impl Cell {
                     ranges.push(';');
                 }
                 format!(
-                    "transpose:{arm}:n={},block={},threads={threads},plan={ranges}|{device}",
-                    cfg.n, cfg.block
+                    "transpose:{arm}:n={},block={},threads={},plan={ranges}|{device}",
+                    cfg.n, cfg.block, program.threads
                 )
             }
             kind => format!("{}:{}:{kind:?}|{device}", kind.kernel(), self.variant),
@@ -366,6 +292,26 @@ pub enum CellOutcome {
     /// in every digest-bearing field to what a fresh simulation would
     /// produce — the cache key covers everything the result depends on.
     Cached(CachedOutcome),
+}
+
+impl CellOutcome {
+    /// The simulator report of a freshly simulated cell.
+    #[must_use]
+    pub fn into_report(self) -> Option<SimReport> {
+        match self {
+            CellOutcome::Report(r) => Some(*r),
+            _ => None,
+        }
+    }
+
+    /// The bandwidth of a freshly measured STREAM cell.
+    #[must_use]
+    pub fn gbps(&self) -> Option<f64> {
+        match self {
+            CellOutcome::Gbps(g) => Some(*g),
+            _ => None,
+        }
+    }
 }
 
 /// One executed cell, in matrix order.
@@ -996,8 +942,10 @@ impl Engine {
         let tasks: Vec<Task<'_, f64>> = devices
             .iter()
             .map(|(_, spec)| {
-                let b: Task<'_, f64> =
-                    Box::new(move || experiment::stream_dram_gbps_budgeted(spec, budget_ref));
+                let b: Task<'_, f64> = Box::new(move || {
+                    let machine = Machine::new(spec.clone()).with_budget(budget_ref.clone());
+                    experiment::stream_dram_gbps(&machine)
+                });
                 b
             })
             .collect();
@@ -1019,29 +967,8 @@ impl Engine {
 }
 
 fn execute(cell: &Cell, budget: &JobBudget) -> CellOutcome {
-    match &cell.kind {
-        CellKind::Transpose { variant, cfg } => {
-            match experiment::simulate_transpose_budgeted(&cell.spec, *variant, *cfg, budget) {
-                Some(report) => CellOutcome::Report(Box::new(report)),
-                None => CellOutcome::DoesNotFit,
-            }
-        }
-        CellKind::Blur { variant, cfg } => CellOutcome::Report(Box::new(
-            experiment::simulate_blur_budgeted(&cell.spec, *variant, *cfg, budget),
-        )),
-        CellKind::FusedBlur { cfg, threads } => CellOutcome::Report(Box::new(
-            experiment::simulate_fused_blur_budgeted(&cell.spec, *cfg, *threads, budget),
-        )),
-        CellKind::Stream { op, level } => CellOutcome::Gbps(experiment::simulate_stream_budgeted(
-            &cell.spec, *op, *level, budget,
-        )),
-        CellKind::Gbmv { variant, cfg } => {
-            match experiment::simulate_gbmv_budgeted(&cell.spec, *variant, *cfg, budget) {
-                Some(report) => CellOutcome::Report(Box::new(report)),
-                None => CellOutcome::DoesNotFit,
-            }
-        }
-    }
+    let machine = Machine::new(cell.spec.clone()).with_budget(budget.clone());
+    experiment::simulate(&machine, &cell.kind)
 }
 
 /// Run one cell under the retry/deadline policy. Returns the outcome,

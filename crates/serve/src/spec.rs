@@ -1,18 +1,16 @@
 //! What a submitted job simulates.
 //!
 //! A [`JobSpec`] is the wire-side description of one experiment matrix.
-//! Its [`JobSpec::matrix`] constructor replicates the corresponding
-//! figure binary's matrix-building loop *statement for statement*
-//! (`crates/bench/src/bin/fig2_transpose.rs`, `fig6_blur.rs`), because
-//! the determinism contract of the daemon is digest equality with the
-//! one-shot binaries: same cells in the same order, same workload
-//! configs, same device sweep — hence the same canonical combined
-//! digest.
+//! Its [`JobSpec::matrix`] constructor calls the same
+//! `membound_core::figures` ladder builders as the figure binaries
+//! (`fig2_transpose`, `fig6_blur`), because the determinism contract of
+//! the daemon is digest equality with the one-shot binaries: same cells
+//! in the same order, same workload configs, same device sweep — hence
+//! the same canonical combined digest.
 
-use membound_core::runner::{Cell, ExperimentMatrix};
-use membound_core::{
-    BlurConfig, BlurVariant, GbmvConfig, GbmvVariant, TransposeConfig, TransposeVariant,
-};
+use membound_core::figures;
+use membound_core::runner::ExperimentMatrix;
+use membound_core::{BlurVariant, GbmvConfig, GbmvVariant, TransposeConfig, TransposeVariant};
 use membound_sim::Device;
 use serde::{Deserialize, Serialize};
 
@@ -41,8 +39,7 @@ pub enum JobSpec {
         device: Option<String>,
     },
     /// The band-matrix `gbmv` ladder: caller-chosen orders, the
-    /// three-variant ladder per order × device, mirroring the gbmv half
-    /// of `whatif_manycore`'s per-device loop.
+    /// three-variant ladder per order × device.
     GbmvLadder {
         /// Matrix orders (one panel per order).
         sizes: Vec<usize>,
@@ -93,50 +90,18 @@ impl JobSpec {
     /// back instead of running.
     pub fn matrix(&self) -> Result<ExperimentMatrix, String> {
         match self {
-            JobSpec::Fig2 { full, device } => {
-                let devices = Self::devices(device.as_deref())?;
-                let (n1, n2) = if *full { (8192, 16384) } else { (2048, 4096) };
-                let mut matrix = ExperimentMatrix::new("fig2_transpose");
-                for n in [n1, n2] {
-                    let cfg = TransposeConfig::new(n);
-                    for device in &devices {
-                        let spec = device.spec();
-                        for variant in TransposeVariant::all() {
-                            matrix.push(Cell::transpose(
-                                n.to_string(),
-                                device.label(),
-                                &spec,
-                                variant,
-                                cfg,
-                            ));
-                        }
-                    }
-                }
-                Ok(matrix)
-            }
-            JobSpec::Fig6 { full, device } => {
-                let devices = Self::devices(device.as_deref())?;
-                let cfg = if *full {
-                    BlurConfig::paper()
-                } else {
-                    BlurConfig::small(1013, 1272)
-                };
-                let panel = format!("{}x{}", cfg.height, cfg.width);
-                let mut matrix = ExperimentMatrix::new("fig6_blur");
-                for device in &devices {
-                    let spec = device.spec();
-                    for variant in BlurVariant::all() {
-                        matrix.push(Cell::blur(
-                            panel.clone(),
-                            device.label(),
-                            &spec,
-                            variant,
-                            cfg,
-                        ));
-                    }
-                }
-                Ok(matrix)
-            }
+            JobSpec::Fig2 { full, device } => Ok(figures::transpose_ladder(
+                "fig2_transpose",
+                &figures::transpose_sizes(*full).map(TransposeConfig::new),
+                &Self::devices(device.as_deref())?,
+                &TransposeVariant::all(),
+            )),
+            JobSpec::Fig6 { full, device } => Ok(figures::blur_ladder(
+                "fig6_blur",
+                figures::blur_config(*full),
+                &Self::devices(device.as_deref())?,
+                &BlurVariant::all(),
+            )),
             JobSpec::GbmvLadder { sizes, device } => {
                 if sizes.is_empty() {
                     return Err("gbmv ladder needs at least one order".into());
@@ -146,24 +111,13 @@ impl JobSpec {
                     // band layout needs kl, ku < n.
                     return Err(format!("gbmv order {n} must exceed the bandwidth (64)"));
                 }
-                let devices = Self::devices(device.as_deref())?;
-                let mut matrix = ExperimentMatrix::new("gbmv_ladder");
-                for &n in sizes {
-                    let cfg = GbmvConfig::new(n);
-                    for device in &devices {
-                        let spec = device.spec();
-                        for variant in GbmvVariant::all() {
-                            matrix.push(Cell::gbmv(
-                                n.to_string(),
-                                device.label(),
-                                &spec,
-                                variant,
-                                cfg,
-                            ));
-                        }
-                    }
-                }
-                Ok(matrix)
+                let cfgs: Vec<_> = sizes.iter().map(|&n| GbmvConfig::new(n)).collect();
+                Ok(figures::gbmv_ladder(
+                    "gbmv_ladder",
+                    &cfgs,
+                    &Self::devices(device.as_deref())?,
+                    &GbmvVariant::all(),
+                ))
             }
             JobSpec::TransposeLadder {
                 sizes,
@@ -177,23 +131,16 @@ impl JobSpec {
                     return Err("transpose ladder block must be positive".into());
                 }
                 let devices = Self::devices(device.as_deref())?;
-                let mut matrix = ExperimentMatrix::new("transpose_ladder");
-                for &n in sizes {
-                    let cfg = TransposeConfig::with_block(n, *block);
-                    for device in &devices {
-                        let spec = device.spec();
-                        for variant in TransposeVariant::all() {
-                            matrix.push(Cell::transpose(
-                                n.to_string(),
-                                device.label(),
-                                &spec,
-                                variant,
-                                cfg,
-                            ));
-                        }
-                    }
-                }
-                Ok(matrix)
+                let cfgs: Vec<_> = sizes
+                    .iter()
+                    .map(|&n| TransposeConfig::with_block(n, *block))
+                    .collect();
+                Ok(figures::transpose_ladder(
+                    "transpose_ladder",
+                    &cfgs,
+                    &devices,
+                    &TransposeVariant::all(),
+                ))
             }
         }
     }
@@ -201,46 +148,23 @@ impl JobSpec {
     /// Short human label for the job table (`serve status`).
     #[must_use]
     pub fn label(&self) -> String {
-        let (name, full, device) = match self {
-            JobSpec::Fig2 { full, device } => ("fig2_transpose", *full, device),
-            JobSpec::Fig6 { full, device } => ("fig6_blur", *full, device),
+        let full = |full: &bool| if *full { " --full" } else { "" };
+        let list = |sizes: &[usize]| {
+            let sizes: Vec<String> = sizes.iter().map(ToString::to_string).collect();
+            sizes.join(",")
+        };
+        let (name, device) = match self {
+            JobSpec::Fig2 { full: f, device } => (format!("fig2_transpose{}", full(f)), device),
+            JobSpec::Fig6 { full: f, device } => (format!("fig6_blur{}", full(f)), device),
             JobSpec::GbmvLadder { sizes, device } => {
-                return format!(
-                    "gbmv_ladder[{}]{}",
-                    sizes
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(","),
-                    device
-                        .as_deref()
-                        .map(|d| format!(" @{d}"))
-                        .unwrap_or_default()
-                );
+                (format!("gbmv_ladder[{}]", list(sizes)), device)
             }
             JobSpec::TransposeLadder { sizes, device, .. } => {
-                return format!(
-                    "transpose_ladder[{}]{}",
-                    sizes
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(","),
-                    device
-                        .as_deref()
-                        .map(|d| format!(" @{d}"))
-                        .unwrap_or_default()
-                );
+                (format!("transpose_ladder[{}]", list(sizes)), device)
             }
         };
-        format!(
-            "{name}{}{}",
-            if full { " --full" } else { "" },
-            device
-                .as_deref()
-                .map(|d| format!(" @{d}"))
-                .unwrap_or_default()
-        )
+        let at = device.as_deref().map(|d| format!(" @{d}"));
+        name + &at.unwrap_or_default()
     }
 }
 

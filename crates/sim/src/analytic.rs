@@ -1436,14 +1436,4 @@ mod tests {
         let cov = estimate_coverage(&tlb_spec, &program);
         assert_eq!(cov.eligible_elems, 0);
     }
-
-    #[test]
-    fn analytic_env_default_parsing() {
-        // `analytic_default` honours the override in both directions.
-        crate::machine::set_analytic_override(Some(false));
-        assert!(!crate::machine::analytic_default());
-        crate::machine::set_analytic_override(Some(true));
-        assert!(crate::machine::analytic_default());
-        crate::machine::set_analytic_override(None);
-    }
 }

@@ -104,7 +104,7 @@ impl Device {
     /// everything — so they go through [`Device::select`], which turns
     /// ambiguity into an explicit error.
     #[must_use]
-    pub fn matching(filter: &str) -> Vec<Device> {
+    fn matching(filter: &str) -> Vec<Device> {
         let normalize = |s: &str| s.to_lowercase().replace([' ', '-', '_', '(', ')'], "");
         let needle = normalize(filter);
         Device::all()

@@ -85,10 +85,7 @@ pub use core::{CoreConfig, MAX_ISSUE_WIDTH, MAX_MLP};
 pub use devices::Device;
 pub use dram::DramConfig;
 pub use hierarchy::{CorePipeline, PhaseAccum};
-pub use machine::{
-    analytic_default, set_analytic_override, Bottleneck, DeviceSpec, Machine, PhaseReport,
-    SimReport,
-};
+pub use machine::{analytic_default, Bottleneck, DeviceSpec, Machine, PhaseReport, SimReport};
 // Re-exported so `Machine::with_budget` callers need no direct
 // `membound-parallel` dependency.
 pub use membound_parallel::JobBudget;

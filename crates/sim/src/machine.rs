@@ -9,45 +9,21 @@ use crate::stats::{CycleBreakdown, DramStats, LevelStats};
 use crate::tlb::{PageWalk, TlbConfig};
 use membound_parallel::{JobBudget, Pool, Task};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Process-wide override for whether new [`Machine`]s default to analytic
-/// execution: 0 = unset (consult `MEMBOUND_ANALYTIC`, default on),
-/// 1 = forced off, 2 = forced on.
-static ANALYTIC_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Force the default analytic-execution setting for machines constructed
-/// after this call: `Some(true)`/`Some(false)` pin it, `None` restores the
-/// environment-driven default. Used by `--analytic`/`--no-analytic` CLI
-/// flags; [`Machine::with_analytic`] still overrides per machine.
-pub fn set_analytic_override(v: Option<bool>) {
-    ANALYTIC_OVERRIDE.store(
-        match v {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
 
 /// The analytic-execution default a fresh [`Machine`] picks up: the
-/// override if set, else the `MEMBOUND_ANALYTIC` environment variable
-/// (`0`/`off`/`false`/`no` disable), else on.
+/// `MEMBOUND_ANALYTIC` environment variable (`0`/`off`/`false`/`no`
+/// disable), else on. [`Machine::with_analytic`] overrides it per
+/// machine, which is how the CLI's `--analytic`/`--no-analytic` apply.
 #[must_use]
 pub fn analytic_default() -> bool {
-    match ANALYTIC_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => std::env::var("MEMBOUND_ANALYTIC")
-            .map(|v| {
-                !matches!(
-                    v.to_ascii_lowercase().as_str(),
-                    "0" | "off" | "false" | "no"
-                )
-            })
-            .unwrap_or(true),
-    }
+    std::env::var("MEMBOUND_ANALYTIC")
+        .map(|v| {
+            !matches!(
+                v.to_ascii_lowercase().as_str(),
+                "0" | "off" | "false" | "no"
+            )
+        })
+        .unwrap_or(true)
 }
 
 /// Full static description of a device (one of the paper's four boards, or
@@ -927,8 +903,7 @@ mod tests {
         // the contended model agrees with the aggregate one.
         let a = run(&aggregate, 1);
         let c = run(&contended, 1);
-        let ratio =
-            c.phases[0].dram_occupancy_cycles / a.phases[0].dram_occupancy_cycles;
+        let ratio = c.phases[0].dram_occupancy_cycles / a.phases[0].dram_occupancy_cycles;
         assert!(
             (ratio - 1.0).abs() < 0.01,
             "even traffic must not be penalized: ratio {ratio}"
@@ -938,8 +913,7 @@ mod tests {
         // hottest channel holds half the bandwidth, so occupancy doubles.
         let a = run(&aggregate, 2);
         let c = run(&contended, 2);
-        let ratio =
-            c.phases[0].dram_occupancy_cycles / a.phases[0].dram_occupancy_cycles;
+        let ratio = c.phases[0].dram_occupancy_cycles / a.phases[0].dram_occupancy_cycles;
         assert!(
             ratio > 1.9,
             "single-channel traffic must pay the per-channel bandwidth: ratio {ratio}"

@@ -8,12 +8,12 @@
 
 use membound::core::{
     blur_native,
-    experiment::{simulate_blur, stream_dram_gbps},
+    experiment::{simulate, stream_dram_gbps, CellKind},
     metrics, BlurConfig, BlurVariant,
 };
 use membound::image::generate;
 use membound::parallel::Pool;
-use membound::sim::Device;
+use membound::sim::{Device, Machine};
 
 fn main() {
     // Correctness first, natively: every variant must produce the same
@@ -42,12 +42,14 @@ fn main() {
         cfg.height, cfg.width, cfg.channels, cfg.filter_size
     );
     for &device in Device::all() {
-        let spec = device.spec();
-        let stream = stream_dram_gbps(&spec);
+        let machine = Machine::new(device.spec());
+        let stream = stream_dram_gbps(&machine);
         println!("{device}:");
         let mut naive_seconds = 0.0;
         for variant in BlurVariant::all() {
-            let report = simulate_blur(&spec, variant, cfg);
+            let report = simulate(&machine, &CellKind::Blur { variant, cfg })
+                .into_report()
+                .expect("blur always fits");
             if variant == BlurVariant::Naive {
                 naive_seconds = report.seconds;
             }

@@ -11,11 +11,11 @@
 //! ```
 
 use membound::core::{
-    experiment::{simulate_blur, simulate_transpose},
+    experiment::{simulate, CellKind},
     BlurConfig, BlurVariant, TransposeConfig, TransposeVariant,
 };
 use membound::sim::{
-    CacheConfig, CoreConfig, Device, DeviceSpec, DramConfig, PageWalk, PrefetcherConfig,
+    CacheConfig, CoreConfig, Device, DeviceSpec, DramConfig, Machine, PageWalk, PrefetcherConfig,
     ReplacementPolicy, TlbConfig,
 };
 
@@ -69,14 +69,26 @@ fn main() {
     let tcfg = TransposeConfig::new(2048);
     println!("== transpose, Dynamic variant, 2048 x 2048 ==");
     for (name, spec) in &contenders {
-        let r = simulate_transpose(spec, TransposeVariant::Dynamic, tcfg).expect("fits");
+        let kind = CellKind::Transpose {
+            variant: TransposeVariant::Dynamic,
+            cfg: tcfg,
+        };
+        let r = simulate(&Machine::new(spec.clone()), &kind)
+            .into_report()
+            .expect("fits");
         println!("  {name:36} {:>8.1} ms", r.seconds * 1e3);
     }
 
     let bcfg = BlurConfig::small(507, 636);
     println!("\n== blur, Parallel variant, 636 x 507 ==");
     for (name, spec) in &contenders {
-        let r = simulate_blur(spec, BlurVariant::Parallel, bcfg);
+        let kind = CellKind::Blur {
+            variant: BlurVariant::Parallel,
+            cfg: bcfg,
+        };
+        let r = simulate(&Machine::new(spec.clone()), &kind)
+            .into_report()
+            .expect("blur always fits");
         println!("  {name:36} {:>8.1} ms", r.seconds * 1e3);
     }
 

@@ -5,11 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use membound::core::{
-    experiment, transpose_native, SquareMatrix, TransposeConfig, TransposeVariant,
-};
+use membound::core::experiment::{simulate, CellKind};
+use membound::core::{transpose_native, SquareMatrix, TransposeConfig, TransposeVariant};
 use membound::parallel::Pool;
-use membound::sim::Device;
+use membound::sim::{Device, Machine};
 
 fn main() {
     let n = 1024;
@@ -42,9 +41,11 @@ fn main() {
     // 2. Simulated, on the Mango Pi MQ-Pro model (XuanTie C906).
     let device = Device::MangoPiMqPro;
     println!("\nsimulated, on the {device} model:");
+    let machine = Machine::new(device.spec());
     let mut naive_sim = 0.0;
     for variant in TransposeVariant::all() {
-        let report = experiment::simulate_transpose(&device.spec(), variant, cfg)
+        let report = simulate(&machine, &CellKind::Transpose { variant, cfg })
+            .into_report()
             .expect("a 1024x1024 matrix fits in 1 GB");
         if variant == TransposeVariant::Naive {
             naive_sim = report.seconds;

@@ -7,7 +7,7 @@
 
 use membound::core::{experiment, run_native_stream, StreamOp};
 use membound::parallel::Pool;
-use membound::sim::Device;
+use membound::sim::{Device, Machine};
 
 fn main() {
     println!("== STREAM survey ==\n");
@@ -24,7 +24,7 @@ fn main() {
     for &device in Device::all() {
         let spec = device.spec();
         println!("\n{device} (modelled):");
-        for row in experiment::simulate_stream_survey(&spec) {
+        for row in experiment::simulate_stream_survey(&Machine::new(spec.clone())) {
             let mode = if row.private_scaled {
                 format!("sequential x{}", spec.cores)
             } else {

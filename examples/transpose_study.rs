@@ -7,10 +7,10 @@
 //! ```
 
 use membound::core::{
-    experiment::{simulate_transpose, stream_dram_gbps},
+    experiment::{simulate, stream_dram_gbps, CellKind},
     metrics, TransposeConfig, TransposeVariant,
 };
-use membound::sim::Device;
+use membound::sim::{Device, Machine};
 
 fn main() {
     let n: usize = std::env::args()
@@ -26,11 +26,14 @@ fn main() {
             println!("{device}: matrix does not fit in {} GB of memory (the paper's\n  missing 16384 bars)\n", spec.dram_capacity_bytes >> 30);
             continue;
         }
-        let stream = stream_dram_gbps(&spec);
+        let machine = Machine::new(spec);
+        let stream = stream_dram_gbps(&machine);
         println!("{device} (STREAM DRAM: {stream:.2} GB/s):");
         let mut naive_seconds = 0.0;
         for variant in TransposeVariant::all() {
-            let report = simulate_transpose(&spec, variant, cfg).expect("fits");
+            let report = simulate(&machine, &CellKind::Transpose { variant, cfg })
+                .into_report()
+                .expect("fits");
             if variant == TransposeVariant::Naive {
                 naive_seconds = report.seconds;
             }

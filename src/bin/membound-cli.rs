@@ -9,6 +9,7 @@
 //! membound-cli native-stream    [--elements 4194304] [--threads 0]
 //! membound-cli native-transpose [-n 1024] [--variant all] [--threads 0]
 //! membound-cli native-blur      [--height 317 --width 397] [--variant all]
+//! membound-cli trace-ir transpose|blur|gbmv|stream [--device xeon] [...]
 //! membound-cli cache stats|gc|verify [--cache-dir <dir>]
 //! membound-cli serve submit|status|cancel|shutdown --socket <path> [...]
 //! ```
@@ -19,21 +20,17 @@
 //! of a table.
 
 use membound::core::cache;
-use membound::core::experiment::{
-    simulate_blur, simulate_gbmv, simulate_gbmv_reference, simulate_stream,
-    simulate_stream_survey, simulate_transpose, simulate_transpose_reference, stream_dram_gbps,
-};
+use membound::core::experiment::{simulate, simulate_stream_survey, stream_dram_gbps, CellKind};
 use membound::core::metrics::{attach_speedups, Measurement};
 use membound::core::report::{fmt_seconds, fmt_speedup, to_json, TextTable};
 use membound::core::{
     blur_native, run_native_stream, transpose_native, BlurConfig, BlurVariant, GbmvConfig,
     GbmvVariant, SquareMatrix, StreamOp, StreamTrace, TransposeConfig, TransposeVariant,
 };
-use membound::core::{BlurTrace, TransposeTrace};
 use membound::image::generate;
-use membound::parallel::{Pool, Schedule};
-use membound::sim::{estimate_coverage, Device, Machine};
-use membound::trace::{IrStats, RecordingSink, TraceSink};
+use membound::parallel::Pool;
+use membound::sim::{estimate_coverage, Device, DeviceSpec, Machine};
+use membound::trace::{IrStats, RecordingSink, TraceOp, TraceSink};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -52,13 +49,14 @@ fn usage() -> ! {
          \x20 validate-runlog <path>          check a JSONL run log (accepts schema v1..=v7)\n\
          \x20 strided-gate                    prove batched strided replay matches per-element\n\
          \x20 analytic-gate                   prove analytic fast-forward matches full replay\n\
-         \x20 trace-ir transpose|blur|stream  dump a kernel's lowered trace IR and coverage\n\
+         \x20 trace-ir transpose|blur|gbmv|stream   dump a kernel's lowered trace IR and coverage\n\
          \x20 cache stats|gc|verify           inspect or reclaim a persistent result cache\n\
          \x20                                 (--cache-dir <dir>, or MEMBOUND_CACHE_DIR)\n\
          \x20 serve submit|status|cancel|shutdown   talk to a membound-serve daemon\n\
          \x20                                 (--socket <path>; see `serve --help`)\n\
          common options:\n\
-         \x20 --device mangopi|starfive|rpi4|xeon|all   (default: all)\n\
+         \x20 --device mangopi|starfive|rpi4|xeon|sg2044|montecimone|paper|all\n\
+         \x20                                           (default: all)\n\
          \x20 --variant <ladder variant>|all            (default: all)\n\
          \x20 --threads N                               native thread count (0 = host)\n\
          \x20 --json                                    machine-readable output\n\
@@ -67,6 +65,7 @@ fn usage() -> ! {
          kernel options:\n\
          \x20 stream:    --op copy|scale|add|triad|all  --level l1|l2|l3|dram|all\n\
          \x20 transpose: -n SIZE  --block SIZE\n\
+         \x20 gbmv:      -n ORDER                      (trace-ir only)\n\
          \x20 blur:      --height H --width W --filter F"
     );
     std::process::exit(2);
@@ -76,9 +75,9 @@ fn usage() -> ! {
 struct Opts {
     flags: HashMap<String, String>,
     json: bool,
-    /// `--analytic` / `--no-analytic`: process-wide override for the
-    /// analytic trace-IR executor (`None` leaves the `MEMBOUND_ANALYTIC`
-    /// environment default in force).
+    /// `--analytic` / `--no-analytic`: force the analytic trace-IR
+    /// executor on every machine this invocation builds (`None` leaves
+    /// the `MEMBOUND_ANALYTIC` environment default in force).
     analytic: Option<bool>,
 }
 
@@ -148,6 +147,26 @@ impl Opts {
         }
     }
 
+    /// The blur workload from `--height`/`--width`/`--filter`.
+    fn blur_config(&self, height: usize, width: usize) -> BlurConfig {
+        BlurConfig {
+            height: self.num("height", height),
+            width: self.num("width", width),
+            channels: 3,
+            filter_size: self.num("filter", 19),
+            sigma: None,
+        }
+    }
+
+    /// A machine for `spec` honouring `--analytic` / `--no-analytic`.
+    fn machine(&self, spec: DeviceSpec) -> Machine {
+        let machine = Machine::new(spec);
+        match self.analytic {
+            Some(on) => machine.with_analytic(on),
+            None => machine,
+        }
+    }
+
     fn pool(&self) -> Pool {
         match self.num::<u32>("threads", 0) {
             0 => Pool::host(),
@@ -186,6 +205,19 @@ fn blur_variants(opts: &Opts) -> Vec<BlurVariant> {
     }
 }
 
+fn gbmv_variants(opts: &Opts) -> Vec<GbmvVariant> {
+    match opts.get("variant").unwrap_or("all") {
+        "all" => GbmvVariant::all().to_vec(),
+        "naive" => vec![GbmvVariant::Naive],
+        "blocked" => vec![GbmvVariant::Blocked],
+        "parallel" => vec![GbmvVariant::Parallel],
+        other => {
+            eprintln!("unknown gbmv variant: {other}");
+            usage()
+        }
+    }
+}
+
 fn emit(opts: &Opts, table: TextTable, rows: &[Measurement]) {
     if opts.json {
         println!("{}", to_json(&rows));
@@ -219,9 +251,9 @@ fn cmd_stream(opts: &Opts) {
     let op_filter = opts.get("op").unwrap_or("all").to_lowercase();
     let mut table = TextTable::new(["device", "level", "op", "GB/s"].map(String::from).to_vec());
     for device in opts.devices() {
-        let spec = device.spec();
+        let machine = opts.machine(device.spec());
         if level_filter == "all" && op_filter == "all" {
-            for row in simulate_stream_survey(&spec) {
+            for row in simulate_stream_survey(&machine) {
                 for (op, g) in StreamOp::all().iter().zip(row.gbps) {
                     table.row(vec![
                         device.label().into(),
@@ -252,7 +284,7 @@ fn cmd_stream(opts: &Opts) {
             }
         };
         if let Some(k) = level {
-            if k >= spec.caches.len() {
+            if k >= machine.spec().caches.len() {
                 table.row(vec![
                     device.label().into(),
                     level_filter.to_uppercase(),
@@ -263,7 +295,9 @@ fn cmd_stream(opts: &Opts) {
             }
         }
         for op in ops {
-            let gbps = simulate_stream(&spec, op, level);
+            let gbps = simulate(&machine, &CellKind::Stream { op, level })
+                .gbps()
+                .expect("STREAM cells measure bandwidth");
             table.row(vec![
                 device.label().into(),
                 level_filter.to_uppercase(),
@@ -275,10 +309,9 @@ fn cmd_stream(opts: &Opts) {
     println!("{}", table.render());
 }
 
-fn cmd_transpose(opts: &Opts) {
-    let n: usize = opts.num("n", 2048);
-    let block: usize = opts.num("block", 64);
-    let cfg = TransposeConfig::with_block(n, block);
+/// Simulate a ladder of `cells` on every selected device, with speedups
+/// over its first variant and the §3.3 bandwidth utilization.
+fn cmd_ladder(opts: &Opts, cells: &[(&'static str, CellKind)]) {
     let mut table = TextTable::new(
         ["device", "variant", "threads", "time", "speedup", "BW util"]
             .map(String::from)
@@ -286,67 +319,27 @@ fn cmd_transpose(opts: &Opts) {
     );
     let mut all_rows = Vec::new();
     for device in opts.devices() {
-        let spec = device.spec();
-        let stream = stream_dram_gbps(&spec);
+        let machine = opts.machine(device.spec());
+        let stream = stream_dram_gbps(&machine);
         let mut ladder = Vec::new();
-        for variant in transpose_variants(opts) {
-            match simulate_transpose(&spec, variant, cfg) {
+        for (variant, kind) in cells {
+            match simulate(&machine, kind).into_report() {
                 Some(r) => {
-                    let mut m =
-                        Measurement::new(variant.label(), device.label(), r.threads, r.seconds);
-                    m.bandwidth_utilization =
-                        Some(r.bandwidth_utilization(cfg.nominal_bytes(), stream));
+                    let mut m = Measurement::new(variant, device.label(), r.threads, r.seconds);
+                    m.bandwidth_utilization = kind
+                        .nominal_bytes()
+                        .map(|b| r.bandwidth_utilization(b, stream));
                     ladder.push(m);
                 }
                 None => table.row(vec![
                     device.label().into(),
-                    variant.label().into(),
+                    (*variant).into(),
                     "-".into(),
                     "does not fit in memory".into(),
                     "-".into(),
                     "-".into(),
                 ]),
             }
-        }
-        attach_speedups(&mut ladder);
-        for m in &ladder {
-            table.row(vec![
-                m.device.clone(),
-                m.variant.clone(),
-                m.threads.to_string(),
-                fmt_seconds(m.seconds),
-                fmt_speedup(m.speedup_vs_naive),
-                format!("{:.3}", m.bandwidth_utilization.unwrap_or(0.0)),
-            ]);
-        }
-        all_rows.extend(ladder);
-    }
-    emit(opts, table, &all_rows);
-}
-
-fn cmd_blur(opts: &Opts) {
-    let cfg = BlurConfig {
-        height: opts.num("height", 507),
-        width: opts.num("width", 636),
-        channels: 3,
-        filter_size: opts.num("filter", 19),
-        sigma: None,
-    };
-    let mut table = TextTable::new(
-        ["device", "variant", "threads", "time", "speedup", "BW util"]
-            .map(String::from)
-            .to_vec(),
-    );
-    let mut all_rows = Vec::new();
-    for device in opts.devices() {
-        let spec = device.spec();
-        let stream = stream_dram_gbps(&spec);
-        let mut ladder = Vec::new();
-        for variant in blur_variants(opts) {
-            let r = simulate_blur(&spec, variant, cfg);
-            let mut m = Measurement::new(variant.label(), device.label(), r.threads, r.seconds);
-            m.bandwidth_utilization = Some(r.bandwidth_utilization(cfg.nominal_bytes(), stream));
-            ladder.push(m);
         }
         attach_speedups(&mut ladder);
         for m in &ladder {
@@ -520,15 +513,26 @@ fn cmd_strided_gate(opts: &Opts) -> ExitCode {
     let mut failures = 0u32;
     let mut batches_seen = 0u64;
     for device in opts.devices() {
-        let spec = device.spec();
-        for variant in transpose_variants(opts) {
+        let machine = opts.machine(device.spec());
+        let reference = Machine::new(device.spec()).without_fastpath();
+        let mut cells = transpose_cells(opts, cfg);
+        // One gbmv cell: the naïve anti-diagonal walk is the widest
+        // constant stride any kernel feeds the bulk executors.
+        cells.push((
+            "gbmv Naive",
+            CellKind::Gbmv {
+                variant: GbmvVariant::Naive,
+                cfg: GbmvConfig::new(n.max(128)),
+            },
+        ));
+        for (variant, kind) in cells {
             let (Some(batched), Some(reference)) = (
-                simulate_transpose(&spec, variant, cfg),
-                simulate_transpose_reference(&spec, variant, cfg),
+                simulate(&machine, &kind).into_report(),
+                simulate(&reference, &kind).into_report(),
             ) else {
                 table.row(vec![
                     device.label().into(),
-                    variant.label().into(),
+                    variant.into(),
                     "-".into(),
                     "does not fit in memory".into(),
                     "-".into(),
@@ -541,26 +545,7 @@ fn cmd_strided_gate(opts: &Opts) -> ExitCode {
             batches_seen += batched.strided_batches;
             table.row(vec![
                 device.label().into(),
-                variant.label().into(),
-                batched.strided_batches.to_string(),
-                format!("{:016x}", batched.stats_digest()),
-                format!("{:016x}", reference.stats_digest()),
-                if ok { "ok" } else { "DIVERGED" }.into(),
-            ]);
-        }
-        // One gbmv cell: the naïve anti-diagonal walk is the widest
-        // constant stride any kernel feeds the bulk executors.
-        let gcfg = GbmvConfig::new(n.max(128));
-        if let (Some(batched), Some(reference)) = (
-            simulate_gbmv(&spec, GbmvVariant::Naive, gcfg),
-            simulate_gbmv_reference(&spec, GbmvVariant::Naive, gcfg),
-        ) {
-            let ok = batched.stats_digest() == reference.stats_digest();
-            failures += u32::from(!ok);
-            batches_seen += batched.strided_batches;
-            table.row(vec![
-                device.label().into(),
-                "gbmv Naive".into(),
+                variant.into(),
                 batched.strided_batches.to_string(),
                 format!("{:016x}", batched.stats_digest()),
                 format!("{:016x}", reference.stats_digest()),
@@ -585,58 +570,20 @@ fn cmd_strided_gate(opts: &Opts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Record core 0's trace emission for one transpose cell into a folded
-/// IR program (the same plumbing as `simulate_transpose`, with a
-/// [`RecordingSink`] in place of the machine).
-fn record_transpose_ir(
-    spec: &membound::sim::DeviceSpec,
-    variant: TransposeVariant,
-    cfg: TransposeConfig,
-) -> Vec<membound::trace::TraceOp> {
-    let trace = TransposeTrace::new(cfg);
-    let threads = if variant.is_parallel() { spec.cores } else { 1 };
-    let total = trace.outer_iterations(variant);
-    let plan = variant
-        .schedule()
-        .plan(total, threads, |i| trace.weight(variant, i));
-    let mut sink = RecordingSink::new();
-    for range in &plan[0] {
-        trace.trace_outer(variant, &mut sink, 0, range.start, range.end);
-    }
-    sink.finish()
+/// The `--variant`-selected transpose cells, labelled by variant.
+fn transpose_cells(opts: &Opts, cfg: TransposeConfig) -> Vec<(&'static str, CellKind)> {
+    transpose_variants(opts)
+        .into_iter()
+        .map(|variant| (variant.label(), CellKind::Transpose { variant, cfg }))
+        .collect()
 }
 
-/// Record core 0's trace emission for one blur cell (see
-/// `simulate_blur` for the pass structure per variant).
-fn record_blur_ir(
-    spec: &membound::sim::DeviceSpec,
-    variant: BlurVariant,
-    cfg: BlurConfig,
-) -> Vec<membound::trace::TraceOp> {
-    let trace = BlurTrace::new(cfg);
-    let mut sink = RecordingSink::new();
-    match variant {
-        BlurVariant::Naive | BlurVariant::UnitStride => {
-            trace.trace_2d(variant, &mut sink, 0, trace.output_rows());
-        }
-        BlurVariant::OneDimKernels | BlurVariant::Memory => {
-            trace.trace_pass1(&mut sink, 0, trace.all_rows());
-            trace.trace_pass2(variant, &mut sink, 0, trace.output_rows());
-        }
-        BlurVariant::Parallel => {
-            let threads = spec.cores;
-            let plan1 = Schedule::Static.plan(trace.all_rows(), threads, |_| 1.0);
-            let plan2 = Schedule::Static.plan(trace.output_rows(), threads, |_| 1.0);
-            for r in &plan1[0] {
-                trace.trace_pass1(&mut sink, r.start, r.end);
-            }
-            sink.barrier();
-            for r in &plan2[0] {
-                trace.trace_pass2(variant, &mut sink, r.start, r.end);
-            }
-        }
-    }
-    sink.finish()
+/// The `--variant`-selected blur cells, labelled by variant.
+fn blur_cells(opts: &Opts, cfg: BlurConfig) -> Vec<(&'static str, CellKind)> {
+    blur_variants(opts)
+        .into_iter()
+        .map(|variant| (variant.label(), CellKind::Blur { variant, cfg }))
+        .collect()
 }
 
 #[derive(serde::Serialize)]
@@ -653,7 +600,23 @@ struct TraceIrRow {
     coverage_percent: f64,
 }
 
-/// `trace-ir transpose|blur|stream`: dump the lowered trace IR of a
+/// Record core 0's emission of each cell's kernel program on `spec`
+/// into a folded IR program.
+fn record_core0(
+    spec: &DeviceSpec,
+    cells: Vec<(&'static str, CellKind)>,
+) -> Vec<(&'static str, Vec<TraceOp>)> {
+    cells
+        .into_iter()
+        .map(|(variant, kind)| {
+            let mut sink = RecordingSink::new();
+            kind.program(spec).emit(0, &mut sink);
+            (variant, sink.finish())
+        })
+        .collect()
+}
+
+/// `trace-ir transpose|blur|gbmv|stream`: dump the lowered trace IR of a
 /// kernel's core-0 emission — folded node counts, repeat nesting depth,
 /// and the static analytic-coverage estimate (the fraction of expanded
 /// elements inside loops that pass the fast-forward shape gates on the
@@ -676,26 +639,19 @@ fn cmd_trace_ir(kernel: &str, opts: &Opts) -> ExitCode {
         } else {
             device.spec()
         };
-        let cells: Vec<(String, Vec<membound::trace::TraceOp>)> = match kernel {
+        let cells = match kernel {
             "transpose" | "fig2" => {
                 let cfg = TransposeConfig::with_block(opts.num("n", 2048), opts.num("block", 64));
-                transpose_variants(opts)
-                    .into_iter()
-                    .map(|v| (v.label().to_owned(), record_transpose_ir(&spec, v, cfg)))
-                    .collect()
+                record_core0(&spec, transpose_cells(opts, cfg))
             }
-            "blur" | "fig6" => {
-                let cfg = BlurConfig {
-                    height: opts.num("height", 507),
-                    width: opts.num("width", 636),
-                    channels: 3,
-                    filter_size: opts.num("filter", 19),
-                    sigma: None,
-                };
-                blur_variants(opts)
+            "blur" | "fig6" => record_core0(&spec, blur_cells(opts, opts.blur_config(507, 636))),
+            "gbmv" => {
+                let cfg = GbmvConfig::new(opts.num("n", 4096));
+                let cells = gbmv_variants(opts)
                     .into_iter()
-                    .map(|v| (v.label().to_owned(), record_blur_ir(&spec, v, cfg)))
-                    .collect()
+                    .map(|variant| (variant.label(), CellKind::Gbmv { variant, cfg }))
+                    .collect();
+                record_core0(&spec, cells)
             }
             "stream" => {
                 let elements: u64 = opts.num("elements", 4 << 20);
@@ -713,12 +669,14 @@ fn cmd_trace_ir(kernel: &str, opts: &Opts) -> ExitCode {
                         let t = StreamTrace::new(op, elements);
                         let mut sink = RecordingSink::new();
                         t.trace_pass(&mut sink, 0, elements);
-                        (op.label().to_owned(), sink.finish())
+                        (op.label(), sink.finish())
                     })
                     .collect()
             }
             other => {
-                eprintln!("trace-ir: unknown kernel {other} (expected transpose, blur or stream)");
+                eprintln!(
+                    "trace-ir: unknown kernel {other} (expected transpose, blur, gbmv or stream)"
+                );
                 return ExitCode::from(2);
             }
         };
@@ -727,7 +685,7 @@ fn cmd_trace_ir(kernel: &str, opts: &Opts) -> ExitCode {
             let cov = estimate_coverage(&spec, &program);
             table.row(vec![
                 device.label().into(),
-                variant.clone(),
+                variant.into(),
                 stats.total_nodes().to_string(),
                 stats.access.to_string(),
                 stats.range.to_string(),
@@ -739,7 +697,7 @@ fn cmd_trace_ir(kernel: &str, opts: &Opts) -> ExitCode {
             ]);
             rows.push(TraceIrRow {
                 device: device.label().to_owned(),
-                variant,
+                variant: variant.to_owned(),
                 nodes: stats.total_nodes(),
                 access: stats.access,
                 range: stats.range,
@@ -770,15 +728,8 @@ fn cmd_trace_ir(kernel: &str, opts: &Opts) -> ExitCode {
 /// fast-forward (`analytic_ops > 0`), or the equality above proved
 /// nothing.
 fn cmd_analytic_gate(opts: &Opts) -> ExitCode {
-    use membound::sim::set_analytic_override;
     let cfg_t = TransposeConfig::new(opts.num("n", 512));
-    let cfg_b = BlurConfig {
-        height: opts.num("height", 127),
-        width: opts.num("width", 159),
-        channels: 3,
-        filter_size: opts.num("filter", 19),
-        sigma: None,
-    };
+    let cfg_b = opts.blur_config(127, 159);
     let mut table = TextTable::new(
         [
             "figure",
@@ -792,68 +743,46 @@ fn cmd_analytic_gate(opts: &Opts) -> ExitCode {
         .to_vec(),
     );
     let mut failures = 0u32;
-    let mut gate = |table: &mut TextTable,
-                    figure: &str,
-                    device: &str,
-                    variant: &str,
-                    on: Option<membound::sim::SimReport>,
-                    off: Option<membound::sim::SimReport>| {
-        let (Some(on), Some(off)) = (on, off) else {
+    for device in opts.devices() {
+        let on = Machine::new(device.spec()).with_analytic(true);
+        let off = Machine::new(device.spec()).with_analytic(false);
+        let fig2 = transpose_cells(opts, cfg_t)
+            .into_iter()
+            .map(|c| ("fig2", c));
+        let fig6 = blur_cells(opts, cfg_b).into_iter().map(|c| ("fig6", c));
+        // One gbmv cell per device, so the third kernel family passes
+        // the same gate.
+        let gbmv = CellKind::Gbmv {
+            variant: GbmvVariant::Blocked,
+            cfg: GbmvConfig::new(opts.num("n", 512).max(128)),
+        };
+        for (figure, (variant, kind)) in fig2.chain(fig6).chain([("gbmv", ("Blocked", gbmv))]) {
+            let (Some(on), Some(off)) = (
+                simulate(&on, &kind).into_report(),
+                simulate(&off, &kind).into_report(),
+            ) else {
+                table.row(vec![
+                    figure.into(),
+                    device.label().into(),
+                    variant.into(),
+                    "does not fit in memory".into(),
+                    "-".into(),
+                    "skip".into(),
+                ]);
+                continue;
+            };
+            let ok = on.stats_digest() == off.stats_digest();
+            failures += u32::from(!ok);
             table.row(vec![
                 figure.into(),
-                device.into(),
+                device.label().into(),
                 variant.into(),
-                "does not fit in memory".into(),
-                "-".into(),
-                "skip".into(),
+                format!("{:016x}", on.stats_digest()),
+                format!("{:016x}", off.stats_digest()),
+                if ok { "ok" } else { "DIVERGED" }.into(),
             ]);
-            return;
-        };
-        let ok = on.stats_digest() == off.stats_digest();
-        failures += u32::from(!ok);
-        table.row(vec![
-            figure.into(),
-            device.into(),
-            variant.into(),
-            format!("{:016x}", on.stats_digest()),
-            format!("{:016x}", off.stats_digest()),
-            if ok { "ok" } else { "DIVERGED" }.into(),
-        ]);
-    };
-    for device in opts.devices() {
-        let spec = device.spec();
-        for variant in transpose_variants(opts) {
-            set_analytic_override(Some(true));
-            let on = simulate_transpose(&spec, variant, cfg_t);
-            set_analytic_override(Some(false));
-            let off = simulate_transpose(&spec, variant, cfg_t);
-            gate(&mut table, "fig2", device.label(), variant.label(), on, off);
         }
-        for variant in blur_variants(opts) {
-            set_analytic_override(Some(true));
-            let on = simulate_blur(&spec, variant, cfg_b);
-            set_analytic_override(Some(false));
-            let off = simulate_blur(&spec, variant, cfg_b);
-            gate(
-                &mut table,
-                "fig6",
-                device.label(),
-                variant.label(),
-                Some(on),
-                Some(off),
-            );
-        }
-        // One gbmv cell per device: the blocked panels are the same
-        // unit-stride shape the executor's coverage gates see from
-        // STREAM, reached through a different kernel family.
-        let cfg_g = GbmvConfig::new(opts.num("n", 512).max(128));
-        set_analytic_override(Some(true));
-        let on = simulate_gbmv(&spec, GbmvVariant::Blocked, cfg_g);
-        set_analytic_override(Some(false));
-        let off = simulate_gbmv(&spec, GbmvVariant::Blocked, cfg_g);
-        gate(&mut table, "gbmv", device.label(), "Blocked", on, off);
     }
-    set_analytic_override(None);
     println!("analytic gate\n{}", table.render());
     if failures > 0 {
         eprintln!("analytic gate FAILED: {failures} cell(s) diverged from forced replay");
@@ -1224,16 +1153,13 @@ fn main() -> ExitCode {
     }
     if cmd == "trace-ir" {
         let Some(kernel) = args.get(1).filter(|a| !a.starts_with('-')) else {
-            eprintln!("trace-ir requires a kernel: transpose, blur or stream");
+            eprintln!("trace-ir requires a kernel: transpose, blur, gbmv or stream");
             return ExitCode::from(2);
         };
         let opts = Opts::parse(&args[2..]);
         return cmd_trace_ir(kernel, &opts);
     }
     let opts = Opts::parse(&args[1..]);
-    if let Some(v) = opts.analytic {
-        membound::sim::set_analytic_override(Some(v));
-    }
     if cmd == "strided-gate" {
         return cmd_strided_gate(&opts);
     }
@@ -1243,8 +1169,11 @@ fn main() -> ExitCode {
     match cmd.as_str() {
         "devices" => cmd_devices(&opts),
         "stream" => cmd_stream(&opts),
-        "transpose" => cmd_transpose(&opts),
-        "blur" => cmd_blur(&opts),
+        "transpose" => {
+            let cfg = TransposeConfig::with_block(opts.num("n", 2048), opts.num("block", 64));
+            cmd_ladder(&opts, &transpose_cells(&opts, cfg));
+        }
+        "blur" => cmd_ladder(&opts, &blur_cells(&opts, opts.blur_config(507, 636))),
         "native-stream" => cmd_native_stream(&opts),
         "native-transpose" => cmd_native_transpose(&opts),
         "native-blur" => cmd_native_blur(&opts),

@@ -31,16 +31,17 @@
 //! # Quickstart
 //!
 //! ```
-//! use membound::core::{experiment, TransposeConfig, TransposeVariant};
-//! use membound::sim::Device;
+//! use membound::core::experiment::{simulate, CellKind};
+//! use membound::core::{TransposeConfig, TransposeVariant};
+//! use membound::sim::{Device, Machine};
 //!
 //! // Fig. 2, one bar: blocked transposition on the simulated VisionFive.
-//! let report = experiment::simulate_transpose(
-//!     &Device::StarFiveVisionFive.spec(),
-//!     TransposeVariant::Blocking,
-//!     TransposeConfig::new(1024),
-//! )
-//! .unwrap();
+//! let kind = CellKind::Transpose {
+//!     variant: TransposeVariant::Blocking,
+//!     cfg: TransposeConfig::new(1024),
+//! };
+//! let machine = Machine::new(Device::StarFiveVisionFive.spec());
+//! let report = simulate(&machine, &kind).into_report().unwrap();
 //! println!("simulated time: {:.3} s", report.seconds);
 //! # assert!(report.seconds > 0.0);
 //! ```

@@ -2,7 +2,8 @@
 //!
 //! * `trace-ir` dumps a kernel's folded IR with a coverage estimate —
 //!   near-total for a TLB-off streaming loop, zero with translation on
-//!   (the fast-forward translation gate, DESIGN.md §15);
+//!   (the fast-forward translation gate, DESIGN.md §15) — for every
+//!   kernel family, gbmv included;
 //! * `analytic-gate` proves digest identity between the analytic
 //!   executor and forced replay, non-vacuously;
 //! * `--analytic` / `--no-analytic` are accepted by the simulating
@@ -61,6 +62,21 @@ fn trace_ir_folds_stream_and_estimates_coverage() {
     assert!(ok, "trace-ir failed: {stderr}");
     let rows: Vec<TraceIrRow> = serde_json::from_str(stdout.trim()).expect("json rows");
     assert!(rows.iter().all(|r| r.coverage_percent == 0.0));
+}
+
+#[test]
+fn trace_ir_records_the_gbmv_ladder() {
+    let (stdout, stderr, ok) = run(&[
+        "trace-ir", "gbmv", "--device", "rpi4", "-n", "512", "--no-tlb", "--json",
+    ]);
+    assert!(ok, "trace-ir gbmv failed: {stderr}");
+    let rows: Vec<TraceIrRow> = serde_json::from_str(stdout.trim()).expect("json rows");
+    let variants: Vec<&str> = rows.iter().map(|r| r.variant.as_str()).collect();
+    assert_eq!(variants, ["Naive", "Blocked", "Parallel"]);
+    for row in &rows {
+        assert!(row.nodes > 0, "{}: empty program", row.variant);
+        assert!(row.repeat >= 1, "{}: the band walk must fold", row.variant);
+    }
 }
 
 #[test]

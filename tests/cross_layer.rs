@@ -1,14 +1,21 @@
 //! Integration tests spanning the native and simulated execution paths,
 //! the schedules, and the device-model ablation helpers.
 
-use membound::core::experiment::{simulate_blur, simulate_transpose};
+use membound::core::experiment::{simulate, stream_dram_gbps, CellKind};
 use membound::core::{
-    blur_native, transpose_native, BlurConfig, BlurVariant, SquareMatrix, TransposeConfig,
-    TransposeVariant,
+    blur_native, transpose_native, BlurConfig, BlurVariant, GbmvConfig, GbmvVariant, SquareMatrix,
+    TransposeConfig, TransposeVariant,
 };
 use membound::image::generate;
 use membound::parallel::{Pool, Schedule};
-use membound::sim::{Device, Machine, PrefetcherConfig};
+use membound::sim::{Device, DeviceSpec, Machine, PrefetcherConfig, SimReport};
+
+/// Simulate one report-bearing cell on a default machine for `spec`.
+fn report(spec: &DeviceSpec, kind: CellKind) -> SimReport {
+    simulate(&Machine::new(spec.clone()), &kind)
+        .into_report()
+        .expect("the workload fits")
+}
 use membound::trace::{IterCost, TraceSink};
 
 /// The native and simulated paths must agree on the *ordering* of the
@@ -43,8 +50,9 @@ fn native_and_simulated_orderings_agree_coarsely() {
     );
 
     let spec = Device::IntelXeon4310T.spec();
-    let sim_naive = simulate_transpose(&spec, TransposeVariant::Naive, cfg).unwrap();
-    let sim_blocked = simulate_transpose(&spec, TransposeVariant::ManualBlocking, cfg).unwrap();
+    let transpose = |variant| report(&spec, CellKind::Transpose { variant, cfg });
+    let sim_naive = transpose(TransposeVariant::Naive);
+    let sim_blocked = transpose(TransposeVariant::ManualBlocking);
     assert!(sim_blocked.seconds < sim_naive.seconds);
 }
 
@@ -63,8 +71,9 @@ fn blur_separability_helps_both_paths() {
     );
 
     let spec = Device::RaspberryPi4.spec();
-    let sim_naive = simulate_blur(&spec, BlurVariant::Naive, cfg);
-    let sim_memory = simulate_blur(&spec, BlurVariant::Memory, cfg);
+    let blur = |variant| report(&spec, CellKind::Blur { variant, cfg });
+    let sim_naive = blur(BlurVariant::Naive);
+    let sim_memory = blur(BlurVariant::Memory);
     assert!(sim_memory.seconds < sim_naive.seconds);
 }
 
@@ -202,8 +211,9 @@ fn tlb_ablation_speeds_up_column_walks() {
 fn dynamic_schedule_beats_static_on_the_triangle() {
     let spec = Device::IntelXeon4310T.spec();
     let cfg = TransposeConfig::new(2048);
-    let manual = simulate_transpose(&spec, TransposeVariant::ManualBlocking, cfg).unwrap();
-    let dynamic = simulate_transpose(&spec, TransposeVariant::Dynamic, cfg).unwrap();
+    let transpose = |variant| report(&spec, CellKind::Transpose { variant, cfg });
+    let manual = transpose(TransposeVariant::ManualBlocking);
+    let dynamic = transpose(TransposeVariant::Dynamic);
     assert!(dynamic.seconds <= manual.seconds * 1.001);
 }
 
@@ -212,7 +222,14 @@ fn dynamic_schedule_beats_static_on_the_triangle() {
 #[test]
 fn parallel_blur_phases_sum_to_total() {
     let spec = Device::RaspberryPi4.spec();
-    let report = simulate_blur(&spec, BlurVariant::Parallel, BlurConfig::small(65, 97));
+    let cfg = BlurConfig::small(65, 97);
+    let report = report(
+        &spec,
+        CellKind::Blur {
+            variant: BlurVariant::Parallel,
+            cfg,
+        },
+    );
     let phase_sum: f64 = report.phases.iter().map(|p| p.cycles).sum();
     assert!((phase_sum - report.cycles).abs() < 1e-6 * report.cycles.max(1.0));
     assert!(report.phases.len() >= 2);
@@ -320,4 +337,53 @@ fn schedules_do_not_change_results() {
             assert_eq!(m, reference, "threads={threads} schedule={schedule:?}");
         }
     }
+}
+
+/// One small cell per report-bearing kernel kind, plus one STREAM
+/// Triad DRAM bandwidth, pinned bit for bit. Together with the figure
+/// pins these fix what every kernel program emits into the simulator.
+#[test]
+fn kernel_cell_digests_are_pinned() {
+    let spec = Device::RaspberryPi4.spec();
+    let bcfg = BlurConfig::small(96, 96);
+    let cells = [
+        (
+            CellKind::Transpose {
+                variant: TransposeVariant::Dynamic,
+                cfg: TransposeConfig::with_block(512, 32),
+            },
+            0xd3ea_a8a0_72ea_0711_u64,
+        ),
+        (
+            CellKind::Blur {
+                variant: BlurVariant::Parallel,
+                cfg: bcfg,
+            },
+            0xd9b8_d105_649c_d7dd,
+        ),
+        (
+            CellKind::FusedBlur {
+                cfg: bcfg,
+                threads: 4,
+            },
+            0x5bfa_7302_97f5_7996,
+        ),
+        (
+            CellKind::Gbmv {
+                variant: GbmvVariant::Parallel,
+                cfg: GbmvConfig::with_bands(2048, 32, 32, 128),
+            },
+            0x79cf_8821_a9cb_99d6,
+        ),
+    ];
+    for (kind, pin) in cells {
+        let got = report(&spec, kind.clone()).stats_digest();
+        assert_eq!(got, pin, "{kind:?}: {got:016x} != pinned {pin:016x}");
+    }
+    let triad = stream_dram_gbps(&Machine::new(Device::StarFiveVisionFive.spec()));
+    assert_eq!(
+        triad.to_bits(),
+        0x3fe2_c113_d1f6_a277,
+        "StarFive triad DRAM GB/s {triad} moved"
+    );
 }

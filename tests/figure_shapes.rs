@@ -3,15 +3,34 @@
 //! qualitative claims of §4 hold in the model. These are the
 //! executable form of EXPERIMENTS.md.
 
-use membound::core::experiment::{
-    simulate_blur, simulate_stream_survey, simulate_transpose, stream_dram_gbps,
-};
+use membound::core::experiment::{simulate, simulate_stream_survey, stream_dram_gbps, CellKind};
 use membound::core::{BlurConfig, BlurVariant, TransposeConfig, TransposeVariant};
-use membound::sim::Device;
+use membound::sim::{Device, DeviceSpec, Machine, SimReport};
 use std::collections::HashMap;
 
 fn dram_gbps(device: Device) -> f64 {
-    stream_dram_gbps(&device.spec())
+    stream_dram_gbps(&Machine::new(device.spec()))
+}
+
+fn transpose_report(
+    spec: &DeviceSpec,
+    variant: TransposeVariant,
+    cfg: TransposeConfig,
+) -> Option<SimReport> {
+    simulate(
+        &Machine::new(spec.clone()),
+        &CellKind::Transpose { variant, cfg },
+    )
+    .into_report()
+}
+
+fn blur_report(spec: &DeviceSpec, variant: BlurVariant, cfg: BlurConfig) -> SimReport {
+    simulate(
+        &Machine::new(spec.clone()),
+        &CellKind::Blur { variant, cfg },
+    )
+    .into_report()
+    .expect("blur always fits")
 }
 
 /// Fig. 1: the cross-device DRAM bandwidth ordering the paper reports.
@@ -33,7 +52,7 @@ fn fig1_dram_bandwidth_ordering() {
 #[test]
 fn fig1_levels_get_slower_outward() {
     for &device in Device::paper() {
-        let survey = simulate_stream_survey(&device.spec());
+        let survey = simulate_stream_survey(&Machine::new(device.spec()));
         // Compare Copy bandwidth level to level.
         for pair in survey.windows(2) {
             assert!(
@@ -52,7 +71,7 @@ fn fig1_levels_get_slower_outward() {
 /// level plus DRAM ("there is only L1 cache ... on the Mango Pi board").
 #[test]
 fn fig1_mango_pi_has_only_l1_and_dram() {
-    let survey = simulate_stream_survey(&Device::MangoPiMqPro.spec());
+    let survey = simulate_stream_survey(&Machine::new(Device::MangoPiMqPro.spec()));
     let levels: Vec<&str> = survey.iter().map(|r| r.level.as_str()).collect();
     assert_eq!(levels, vec!["L1D", "DRAM"]);
 }
@@ -62,7 +81,7 @@ fn transpose_ladder(device: Device, n: usize) -> Option<HashMap<TransposeVariant
     let cfg = TransposeConfig::new(n);
     let mut out = HashMap::new();
     for v in TransposeVariant::all() {
-        out.insert(v, simulate_transpose(&spec, v, cfg)?.seconds);
+        out.insert(v, transpose_report(&spec, v, cfg)?.seconds);
     }
     Some(out)
 }
@@ -129,9 +148,9 @@ fn fig3_utilization_rises_with_optimization() {
     let cfg = TransposeConfig::new(1024);
     for &device in Device::paper() {
         let spec = device.spec();
-        let stream = stream_dram_gbps(&spec);
+        let stream = stream_dram_gbps(&Machine::new(spec.clone()));
         let util = |v| {
-            simulate_transpose(&spec, v, cfg)
+            transpose_report(&spec, v, cfg)
                 .unwrap()
                 .bandwidth_utilization(cfg.nominal_bytes(), stream)
         };
@@ -146,7 +165,7 @@ fn blur_ladder(device: Device, cfg: BlurConfig) -> HashMap<BlurVariant, f64> {
     let spec = device.spec();
     BlurVariant::all()
         .into_iter()
-        .map(|v| (v, simulate_blur(&spec, v, cfg).seconds))
+        .map(|v| (v, blur_report(&spec, v, cfg).seconds))
         .collect()
 }
 
@@ -212,16 +231,16 @@ fn fig7_blur_utilization_shape() {
     let cfg = BlurConfig::small(255, 319);
     for &device in Device::paper() {
         let spec = device.spec();
-        let stream = stream_dram_gbps(&spec);
+        let stream = stream_dram_gbps(&Machine::new(spec.clone()));
         let util =
-            |v| simulate_blur(&spec, v, cfg).bandwidth_utilization(cfg.nominal_bytes(), stream);
+            |v| blur_report(&spec, v, cfg).bandwidth_utilization(cfg.nominal_bytes(), stream);
         let onedim = util(BlurVariant::OneDimKernels);
         let memory = util(BlurVariant::Memory);
         assert!(memory > onedim, "{device}: {memory} vs {onedim}");
     }
     let spec = Device::IntelXeon4310T.spec();
-    let stream = stream_dram_gbps(&spec);
-    let util = |v| simulate_blur(&spec, v, cfg).bandwidth_utilization(cfg.nominal_bytes(), stream);
+    let stream = stream_dram_gbps(&Machine::new(spec.clone()));
+    let util = |v| blur_report(&spec, v, cfg).bandwidth_utilization(cfg.nominal_bytes(), stream);
     assert!(
         util(BlurVariant::Parallel) > 2.0 * util(BlurVariant::Memory),
         "Xeon parallel blur should lift utilization substantially"
